@@ -26,7 +26,6 @@ from .elimination import EliminationError, all_orders_agree, gaussian_eliminate
 from .errors import DiscMorseError, ParseError
 from .euler import (
     EulerChain,
-    boundary_zero_chain,
     complete_matching,
     euler_chain_from_matching,
     homologous,
@@ -242,6 +241,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         if sorted(idx) != list(range(len(pairs))):
             raise ParseError("--order must be a permutation of 0..n-1 over matching lines")
         order = [pairs[i] for i in idx]
+    order = list(dict.fromkeys(order))  # a repeated line is eliminated once
     steps = []
     current = C
     failed = None
@@ -314,16 +314,18 @@ def cmd_euler(args: argparse.Namespace) -> int:
             report.emit(args.json)
             return 0
     chain = euler_chain_from_matching(X, M)
-    sub = barycentric_subdivision(X)
-    bz = boundary_zero_chain(sub, chain)
-    want = {
-        sub.barycenter_of[c]: (1 if len(c) % 2 == 1 else -1) for c in X.all_cells()
-    }
+    want = {c: (1 if len(c) % 2 == 1 else -1) for c in X.all_cells()}
     report.put("matching", format_matching(M, table).splitlines())
     report.put("chain", format_chain(chain, table).splitlines())
-    report.put("boundary_ok", bz == want)
+    report.put("boundary_ok", chain.boundary_on_cells() == want)
     if args.compare is not None:
         other = parse_chain(_read_file(args.compare, report), table)
+        for a, b, _ in other.segments:
+            if a not in X or b not in X:
+                raise ParseError(
+                    f"chain segment {table.decode_cell(a)} ; "
+                    f"{table.decode_cell(b)} is not in the complex"
+                )
         if other.boundary_on_cells() != chain.boundary_on_cells():
             report.put("comparable", False)
             report.warn("chains have different boundaries")
@@ -355,7 +357,10 @@ def cmd_subdivide(args: argparse.Namespace) -> int:
 
 def cmd_product(args: argparse.Namespace) -> int:
     report = Report("product")
-    X = product_triangulation(args.m, args.n)
+    try:
+        X = product_triangulation(args.m, args.n)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     report.put("cells", [len(X.cells(k)) for k in range(X.dim + 1)])
     report.put("euler_characteristic", X.euler_characteristic())
     report.put("facets", format_complex(X).splitlines())

@@ -13,8 +13,15 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
+from .errors import ParseError
+
 Cell = tuple[int, ...]
 Orientation = Mapping[Cell, int]
+
+# Upper bound on the faces from_facets may expand, counted with repeats.
+# One 22-vertex facet exceeds it; the 69,120 facets of sd^3 of the
+# 3-sphere count 1,036,800, the 2,880 of sd^2 count 43,200.
+MAX_FACET_CELLS = 1 << 21
 
 
 def as_cell(vertices: Iterable[int]) -> Cell:
@@ -91,10 +98,19 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        """Build the closure of the given facets under taking faces."""
+        """Build the closure of the given facets under taking faces.
+
+        A k-vertex facet has 2**k - 1 faces. When the facets together
+        would expand to more than MAX_FACET_CELLS faces (counted with
+        repeats), ParseError is raised before any face is built.
+        """
+        cells = [as_cell(f) for f in facets]
+        if sum((1 << len(c)) - 1 for c in cells) > MAX_FACET_CELLS:
+            raise ParseError(
+                f"facets expand to more than {MAX_FACET_CELLS} cells"
+            )
         closed: set[Cell] = set()
-        for f in facets:
-            c = as_cell(f)
+        for c in cells:
             for r in range(1, len(c) + 1):
                 closed.update(itertools.combinations(c, r))
         if not closed:

@@ -11,10 +11,10 @@ matching forces equally many even and odd cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .chains import chain_complex
-from .complexes import Cell, SimplicialComplex, Subdivision, barycentric_subdivision
+from .complexes import Cell, SimplicialComplex, Subdivision
 from .errors import MatchingError
 from .homology import cycle_class
 from .matchings import HasseDiagram, Matching, Pair
@@ -167,16 +167,30 @@ def as_edge_chain(sub: Subdivision, chain: EulerChain) -> dict[Cell, int]:
 def homologous(X: SimplicialComplex, xi: EulerChain, eta: EulerChain) -> bool:
     """Whether two chains with equal boundary differ by a boundary.
 
-    The difference is classified as a 1-cycle in the barycentric
-    subdivision; the chains are homologous exactly when its class in H_1
-    vanishes.
+    The difference xi - eta is a 1-cycle on the barycentric subdivision.
+    Sending each barycenter b_sigma to max(sigma) is a simplicial
+    approximation of the identity sd(X) -> X, so it inverts the subdivision
+    isomorphism on integral H_1, torsion included. A segment a -> b with
+    multiplicity m maps to m times the edge [max a, max b] of X and
+    vanishes when the two maxima agree. The image is classified in H_1(X);
+    the chains are homologous exactly when that class vanishes. Raises
+    ValueError when a segment's cell is not in X or xi - eta is not a
+    cycle.
     """
-    sub = barycentric_subdivision(X)
-    diff = as_edge_chain(sub, xi - eta)
-    if not diff:
+    diff = xi - eta
+    image: dict[Cell, int] = {}
+    for a, b, m in diff.segments:
+        if a not in X or b not in X:
+            raise ValueError(f"segment {a} -> {b} is not in the complex")
+        if a[-1] != b[-1]:  # a is a face of b, so max a < max b
+            edge = (a[-1], b[-1])
+            image[edge] = image.get(edge, 0) + m
+    if diff.boundary_on_cells():
+        raise ValueError("the chains have different boundaries")
+    image = {e: v for e, v in image.items() if v}
+    if not image:
         return True
-    C = chain_complex(sub.complex)
-    return cycle_class(C, 1, diff).is_trivial
+    return cycle_class(chain_complex(X), 1, image).is_trivial
 
 
 def reroute_along_vpath(

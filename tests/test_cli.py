@@ -200,6 +200,33 @@ def test_euler_compare_chains(tmp_path, capsys):
     assert "warning: chains have different boundaries" in out
 
 
+def test_euler_compare_refuses_chains_outside_the_complex(tmp_path, capsys):
+    cx = write(tmp_path, "circle.facets", CIRCLE)
+    m1 = write(tmp_path, "m1.matching", "0 ; 0 1\n1 ; 1 2\n2 ; 0 2\n")
+    # the circle's Euler chain plus a closed loop on vertices it lacks, so
+    # the boundaries agree
+    outside = write(
+        tmp_path, "outside.chain",
+        "0 1 ; 0\n1 2 ; 1\n0 2 ; 2\n"
+        "7 ; 7 8\n7 8 ; 8\n8 ; 8 9\n8 9 ; 9\n9 ; 7 9\n7 9 ; 7\n",
+    )
+    code, out, err = run(capsys, ["euler", cx, "--matching", m1, "--compare", outside])
+    assert code == 2 and out == ""
+    assert err == "error: chain segment 7 ; 7 8 is not in the complex\n"
+
+
+def test_reduce_eliminates_a_repeated_matching_line_once(tmp_path, capsys):
+    cx = write(tmp_path, "circle.facets", CIRCLE)
+    mt = write(tmp_path, "m.matching", "0 ; 0 1\n1 ; 1 2\n0 ; 0 1\n")
+    code, out, _ = run(capsys, ["reduce", cx, "--matching", mt])
+    assert code == 0
+    assert "steps:\n  0 ; 0 1 ; pivot -1\n  1 ; 1 2 ; pivot -1\n" in out
+    assert "reduced_sizes: 1 1\n" in out
+    assert "matches_thom_smale: True\n" in out
+    code, out, _ = run(capsys, ["reduce", cx, "--matching", mt, "--order", "2,1,0"])
+    assert code == 0 and "matches_thom_smale: True\n" in out
+
+
 def test_subdivide_report(tmp_path, capsys):
     cx = write(tmp_path, "triangle.facets", TRIANGLE)
     code, out, _ = run(capsys, ["subdivide", cx])
@@ -221,6 +248,19 @@ def test_product_report_and_round_trip(tmp_path, capsys):
         if line.startswith("  ") and not line.startswith("   ")
     ]
     assert "0 1 3" in facet_lines and "0 2 3" in facet_lines
+
+
+def test_product_refuses_negative_dimensions(capsys):
+    code, out, err = run(capsys, ["product", "-1", "2"])
+    assert code == 2 and out == ""
+    assert err == "error: simplex dimensions must be non-negative\n"
+
+
+def test_oversized_facet_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "big.facets", " ".join(map(str, range(40))) + "\n")
+    code, out, err = run(capsys, ["homology", path])
+    assert code == 2 and out == ""
+    assert err.startswith("error: facets expand to more than ")
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

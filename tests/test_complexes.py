@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from discmorse.complexes import (
+    MAX_FACET_CELLS,
     SimplicialComplex,
     as_cell,
     barycentric_subdivision,
@@ -12,6 +13,7 @@ from discmorse.complexes import (
     product_triangulation,
     proper_faces,
 )
+from discmorse.errors import ParseError
 
 
 def test_as_cell_sorts_and_validates():
@@ -139,3 +141,14 @@ def test_product_triangulation_facet_count_is_binomial():
         X = product_triangulation(m, n)
         assert len(X.cells(m + n)) == math.comb(m + n, m)
         assert len(X.cells(0)) == (m + 1) * (n + 1)
+
+
+def test_from_facets_refuses_expansions_over_budget():
+    # refused before expanding: building the 2**40 - 1 faces would not end
+    with pytest.raises(ParseError, match="facets expand to more than"):
+        SimplicialComplex.from_facets([range(40)])
+    # the budget counts every facet's faces, repeats included
+    k = MAX_FACET_CELLS.bit_length() - 1  # one k-vertex facet fits
+    with pytest.raises(ParseError):
+        SimplicialComplex.from_facets([range(k), range(1, k + 1)])
+    assert SimplicialComplex.from_facets([range(12)]).n_cells == 2**12 - 1

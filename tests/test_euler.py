@@ -1,9 +1,16 @@
+import functools
 import itertools
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from discmorse import corpus
+from discmorse.chains import chain_complex
 from discmorse.complexes import SimplicialComplex, barycentric_subdivision
 from discmorse.errors import MatchingError
+from discmorse.homology import cycle_class
 from discmorse.euler import (
     EulerChain,
     as_edge_chain,
@@ -128,11 +135,45 @@ def test_as_edge_chain_checks_membership():
 # --- homologous ---
 
 
+@functools.lru_cache(maxsize=None)
+def _subdivided(X):
+    sub = barycentric_subdivision(X)
+    return sub, chain_complex(sub.complex)
+
+
+def homologous_on_subdivision(X, xi, eta):
+    """Oracle: classify xi - eta as a 1-cycle of sd(X) itself."""
+    sub, C = _subdivided(X)
+    diff = as_edge_chain(sub, xi - eta)
+    return not diff or cycle_class(C, 1, diff).is_trivial
+
+
 def test_homologous_is_reflexive():
     X = circle()
     M = complete_matching(hasse(X))
     chain = euler_chain_from_matching(X, M)
     assert homologous(X, chain, chain)
+
+
+def test_homologous_checks_cells_and_boundaries():
+    X = circle()
+    chain = euler_chain_from_matching(X, complete_matching(hasse(X)))
+    loop = [((7,), (7, 8), 1), ((7, 8), (8,), 1), ((8,), (8, 9), 1),
+            ((8, 9), (9,), 1), ((9,), (7, 9), 1), ((7, 9), (7,), 1)]
+    stranger = EulerChain.from_segments(list(chain.segments) + loop)
+    with pytest.raises(ValueError, match="not in the complex"):
+        homologous(X, chain, stranger)
+    with pytest.raises(ValueError, match="different boundaries"):
+        homologous(X, chain, EulerChain.from_segments([((0,), (0, 1), 1)]))
+
+
+def test_segments_inside_one_vertex_star_map_to_nothing():
+    # every cell of this triangle walk has max vertex 2: the image vanishes
+    X = SimplicialComplex.from_facets([(0, 1, 2)])
+    walk = EulerChain.from_segments(
+        [((2,), (1, 2), 1), ((1, 2), (0, 1, 2), 1), ((0, 1, 2), (2,), 1)]
+    )
+    assert homologous(X, walk, EulerChain.from_segments([]))
 
 
 def test_the_two_circle_matchings_are_not_homologous():
@@ -225,3 +266,72 @@ def test_cone_rewire_validates_its_pattern():
         cone_rewire(M, 1, (1, 2, 3))  # apex inside the triangle
     with pytest.raises(ValueError):
         cone_rewire(M, 0, (1, 2))  # not a 2-cell
+
+
+# --- homologous against the subdivision oracle ---
+
+ORACLE_COMPLEXES = {
+    "torus": corpus.torus(),
+    "klein_bottle": corpus.klein_bottle(),  # H_1 = Z + Z/2
+    "projective_plane": corpus.projective_plane(),  # H_1 = Z/2
+    "sphere3": corpus.sphere(3),  # the boundary of the 4-simplex
+    "sd_sphere2": barycentric_subdivision(corpus.sphere(2)).complex,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _barycenter_graph(X):
+    """Cells of X joined when one is a proper face of the other."""
+    cells = list(X.all_cells())
+    return cells, {
+        c: [d for d in cells if d != c and (set(c) <= set(d) or set(d) <= set(c))]
+        for c in cells
+    }
+
+
+@st.composite
+def closed_walks(draw, X):
+    """A closed barycenter walk with a multiplicity, as segments.
+
+    A random walk on the barycenter graph is closed by the BFS-tree path
+    from its end back to its start.
+    """
+    cells, nbrs = _barycenter_graph(X)
+    start = draw(st.sampled_from(cells))
+    walk = [start]
+    for _ in range(draw(st.integers(2, 14))):
+        walk.append(draw(st.sampled_from(nbrs[walk[-1]])))
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        c = queue.popleft()
+        for d in nbrs[c]:
+            if d not in parent:
+                parent[d] = c
+                queue.append(d)
+    c = walk[-1]
+    while c != start:
+        c = parent[c]
+        walk.append(c)
+    m = draw(st.sampled_from([1, 2, 3, -1]))
+    return [(a, b, m) for a, b in zip(walk, walk[1:])]
+
+
+@st.composite
+def cycle_pairs(draw):
+    name = draw(st.sampled_from(sorted(ORACLE_COMPLEXES)))
+    X = ORACLE_COMPLEXES[name]
+    xi = draw(st.lists(closed_walks(X), min_size=1, max_size=2))
+    eta = draw(st.lists(closed_walks(X), max_size=2))
+    return (
+        X,
+        EulerChain.from_segments(itertools.chain.from_iterable(xi)),
+        EulerChain.from_segments(itertools.chain.from_iterable(eta)),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(cycle_pairs())
+def test_homologous_agrees_with_the_subdivision_oracle(case):
+    X, xi, eta = case
+    assert homologous(X, xi, eta) == homologous_on_subdivision(X, xi, eta)
