@@ -2,8 +2,10 @@
 
 The package is organized bottom-up:
 
-- complexes, chains: simplicial complexes, incidence signs, boundary
-  matrices, barycentric subdivision, staircase products.
+- complexes, chains: simplicial complexes, incidence signs, subdivision,
+  staircase products; ``ChainComplex(bases, boundaries)`` stores each
+  boundary as sparse columns ``boundaries[k] = {label: {face: coeff}}``,
+  and ``boundary(k)`` returns a dense copy.
 - matchings: Hasse diagrams, (Morse) matchings, collapses, greedy and
   randomized matching search.
 - morse: V-paths, their signed multiplicities, and the chain complex on
@@ -55,6 +57,7 @@ from .homology import (
 from .matchings import (
     HasseDiagram,
     Matching,
+    closed_vpath,
     critical_cells,
     find_closed_vpath,
     find_collapse,
@@ -64,7 +67,6 @@ from .matchings import (
     is_morse,
     random_matching,
     random_morse_matching,
-    remove_edge,
     validate_matching,
 )
 from .morse import (

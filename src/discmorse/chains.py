@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-from .complexes import Orientation, SimplicialComplex, incidence
+from .complexes import Cell, Orientation, SimplicialComplex
 
 Label = Hashable
 Matrix = list[list[int]]
+Column = dict[Label, int]
 
 
 def boundary_matrix(
@@ -16,103 +17,95 @@ def boundary_matrix(
     """Boundary matrix from k-chains to (k-1)-chains of X.
 
     Rows are indexed by the (k-1)-cells, columns by the k-cells, both in
-    lexicographic order. k = 0 gives the 0 x n_0 matrix.
+    lexicographic order. k = 0 gives the 0 x n_0 matrix; ValueError for k
+    outside 0..dim.
     """
-    if k < 0 or k > X.dim:
-        raise ValueError(f"k={k} out of range for a complex of dimension {X.dim}")
-    if k == 0:
-        return []
-    rows = X.cells(k - 1)
-    cols = X.cells(k)
-    row_index = {c: i for i, c in enumerate(rows)}
-    mat = [[0] * len(cols) for _ in rows]
-    for j, tau in enumerate(cols):
-        for i_drop in range(len(tau)):
-            sigma = tau[:i_drop] + tau[i_drop + 1:]
-            sign = -1 if i_drop % 2 else 1
-            if orientation:
-                sign *= orientation.get(tau, 1) * orientation.get(sigma, 1)
-            mat[row_index[sigma]][j] = sign
-    return mat
+    return chain_complex(X, orientation).boundary(k)
 
 
 class ChainComplex:
     """A finitely generated free chain complex over the integers.
 
     ``bases[k]`` lists labels of the degree-k generators for every k from 0
-    to the top degree (empty degrees allowed). ``matrices[k]`` is the
-    boundary map from degree k to k-1 with rows indexed by ``bases[k-1]``
-    and columns by ``bases[k]``. Construction checks shapes and that
-    consecutive boundaries compose to zero.
+    to the top degree (empty degrees allowed). ``boundaries[k]`` maps
+    degree-k labels to sparse columns ``{degree-(k-1) label: coefficient}``;
+    missing columns and entries are zero. Construction checks labels and
+    that consecutive boundaries compose to zero.
     """
 
     def __init__(
         self,
         bases: Mapping[int, Iterable[Label]],
-        matrices: Mapping[int, Matrix],
-        check: bool = True,
+        boundaries: Mapping[int, Mapping[Label, Mapping[Label, int]]],
     ):
         if not bases:
             raise ValueError("a chain complex needs at least degree 0")
         top = max(bases)
         if sorted(bases) != list(range(top + 1)):
             raise ValueError("bases must cover every degree from 0 to the top")
-        self._bases: dict[int, tuple[Label, ...]] = {
-            k: tuple(bases[k]) for k in range(top + 1)
-        }
-        for k, b in self._bases.items():
-            if len(set(b)) != len(b):
+        if not set(boundaries) <= set(range(1, top + 1)):
+            raise ValueError("boundaries must lie in degrees 1 to the top")
+        self._bases: dict[int, dict[Label, int]] = {}  # label -> position
+        for k in range(top + 1):
+            labels = tuple(bases[k])
+            self._bases[k] = {lab: i for i, lab in enumerate(labels)}
+            if len(self._bases[k]) != len(labels):
                 raise ValueError(f"duplicate labels in degree {k}")
-        if sorted(matrices) != list(range(1, top + 1)):
-            raise ValueError("matrices must cover every degree from 1 to the top")
-        self._matrices: dict[int, Matrix] = {
-            k: [list(row) for row in matrices[k]] for k in range(1, top + 1)
-        }
-        for k in range(1, top + 1):
-            rows, cols = len(self._bases[k - 1]), len(self._bases[k])
-            mat = self._matrices[k]
-            if len(mat) != rows or any(len(row) != cols for row in mat):
-                raise ValueError(f"boundary in degree {k} has the wrong shape")
-        if check:
-            self._check_d_squared()
-
-    def _check_d_squared(self) -> None:
-        for k in range(2, self.top_dim + 1):
-            low, high = self._matrices[k - 1], self._matrices[k]
-            # column-sparse composition; boundary matrices are mostly zero
-            low_cols: dict[int, list[tuple[int, int]]] = {}
-            for i, row in enumerate(low):
-                for j, v in enumerate(row):
-                    if v:
-                        low_cols.setdefault(j, []).append((i, v))
-            for j in range(len(self._bases[k])):
-                acc: dict[int, int] = {}
-                for r, v in enumerate(c[j] for c in high):
-                    if v:
-                        for i, w in low_cols.get(r, ()):
-                            acc[i] = acc.get(i, 0) + v * w
+        self._columns: dict[int, dict[Label, Column]] = {k: {} for k in range(1, top + 1)}
+        for k, columns in boundaries.items():
+            for tau, col in columns.items():
+                col = {sigma: v for sigma, v in col.items() if v}
+                if tau not in self._bases[k] or not col.keys() <= self._bases[k - 1].keys():
+                    raise ValueError(f"boundary of {tau!r} leaves degrees {k} and {k - 1}")
+                if col:
+                    self._columns[k][tau] = col
+        for k in range(2, top + 1):
+            below = self._columns[k - 1]
+            for tau, col in self._columns[k].items():
+                acc: Column = {}
+                for sigma, v in col.items():
+                    for rho, w in below.get(sigma, {}).items():
+                        acc[rho] = acc.get(rho, 0) + v * w
                 if any(acc.values()):
                     raise ValueError(
-                        f"d o d != 0 between degrees {k} and {k - 2} (column {j})"
+                        f"d o d != 0 between degrees {k} and {k - 2} (at {tau!r})"
                     )
+
+    @classmethod
+    def _trusted(cls, bases: dict, columns: dict) -> "ChainComplex":
+        """Wrap parts that pass every constructor check, without copying them."""
+        C = cls.__new__(cls)
+        C._bases, C._columns = bases, columns
+        return C
 
     @property
     def top_dim(self) -> int:
         return max(self._bases)
 
     def basis(self, k: int) -> tuple[Label, ...]:
-        return self._bases.get(k, ())
+        return tuple(self._bases.get(k, ()))
 
     def size(self, k: int) -> int:
         return len(self._bases.get(k, ()))
 
+    def column(self, k: int, label: Label) -> Column:
+        """A copy of the boundary of a degree-k generator; empty when zero."""
+        if label not in self._bases.get(k, {}):
+            raise ValueError(f"{label!r} is not a degree-{k} generator")
+        return dict(self._columns.get(k, {}).get(label, {}))
+
     def boundary(self, k: int) -> Matrix:
-        """A copy of the degree-k boundary matrix; degree 0 is 0 x n_0."""
+        """A dense copy of the degree-k boundary; degree 0 is 0 x n_0."""
         if k == 0:
             return []
         if k < 1 or k > self.top_dim:
             raise ValueError(f"no boundary in degree {k}")
-        return [row[:] for row in self._matrices[k]]
+        rows = self._bases[k - 1]
+        mat = [[0] * len(self._bases[k]) for _ in rows]
+        for j, tau in enumerate(self._bases[k]):
+            for sigma, v in self._columns[k].get(tau, {}).items():
+                mat[rows[sigma]][j] = v
+        return mat
 
     def euler_characteristic(self) -> int:
         return sum(
@@ -122,9 +115,9 @@ class ChainComplex:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChainComplex):
             return NotImplemented
-        return self._bases == other._bases and self._matrices == other._matrices
+        return self._bases == other._bases and self._columns == other._columns
 
-    __hash__ = None  # mutable-by-convention matrices; identity hash unwanted
+    __hash__ = None  # mutable-by-convention columns; identity hash unwanted
 
     def __repr__(self) -> str:
         sizes = ",".join(str(len(self._bases[k])) for k in sorted(self._bases))
@@ -136,5 +129,20 @@ def chain_complex(
 ) -> ChainComplex:
     """The simplicial chain complex of X with lexicographic cell bases."""
     bases = {k: X.cells(k) for k in range(X.dim + 1)}
-    matrices = {k: boundary_matrix(X, k, orientation) for k in range(1, X.dim + 1)}
-    return ChainComplex(bases, matrices)
+    boundaries = {
+        k: {tau: _cell_boundary(tau, orientation) for tau in X.cells(k)}
+        for k in range(1, X.dim + 1)
+    }
+    return ChainComplex(bases, boundaries)
+
+
+def _cell_boundary(tau: Cell, orientation: Orientation | None) -> Column:
+    """Dropping vertex i of tau carries the sign (-1)**i, times any flips."""
+    col = {}
+    for i in range(len(tau)):
+        sigma = tau[:i] + tau[i + 1:]
+        sign = -1 if i % 2 else 1
+        if orientation:
+            sign *= orientation.get(tau, 1) * orientation.get(sigma, 1)
+        col[sigma] = sign
+    return col

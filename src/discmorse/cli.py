@@ -15,9 +15,8 @@ import json
 import sys
 from typing import Any
 
-from .chains import chain_complex
+from .chains import ChainComplex, chain_complex
 from .complexes import (
-    Cell,
     SimplicialComplex,
     barycentric_subdivision,
     product_triangulation,
@@ -25,7 +24,6 @@ from .complexes import (
 from .elimination import EliminationError, all_orders_agree, gaussian_eliminate
 from .errors import DiscMorseError, ParseError
 from .euler import (
-    EulerChain,
     complete_matching,
     euler_chain_from_matching,
     homologous,
@@ -41,11 +39,12 @@ from .io import (
     parse_matching,
 )
 from .matchings import (
+    HasseDiagram,
     Matching,
-    critical_cells,
-    find_closed_vpath,
+    closed_vpath,
     greedy_morse_matching,
     hasse,
+    is_morse,
     validate_matching,
 )
 from .morse import thom_smale_complex
@@ -140,17 +139,31 @@ def cmd_homology(args: argparse.Namespace) -> int:
     return 0
 
 
+def _differential_lines(C: ChainComplex, table: SymbolTable) -> list[str]:
+    """One "tau ; sigma ; coefficient" line per nonzero boundary entry."""
+    lines = []
+    for k in range(1, C.top_dim + 1):
+        row = {sigma: i for i, sigma in enumerate(C.basis(k - 1))}
+        for tau in C.basis(k):
+            col = C.column(k, tau)
+            for sigma in sorted(col, key=row.__getitem__):
+                lines.append(
+                    f"{table.decode_cell(tau)} ; {table.decode_cell(sigma)} ; {col[sigma]}"
+                )
+    return lines
+
+
 def _matching_from_args(
-    args, X: SimplicialComplex, table: SymbolTable, report: Report
+    args, H: HasseDiagram, table: SymbolTable, report: Report
 ) -> Matching | None:
     """Greedy matching, or the validated matching file; None on a negative
     validation verdict (already reported)."""
     if args.matching is None:
-        M = greedy_morse_matching(X)
+        M = greedy_morse_matching(H.complex)
         report.put("matching_source", "greedy")
         return M
     pairs = parse_matching(_read_file(args.matching, report), table)
-    verdict = validate_matching(hasse(X), pairs)
+    verdict = validate_matching(H, pairs)
     report.put("matching_valid", verdict.ok)
     if not verdict.ok:
         report.put("matching_problem", verdict.problem)
@@ -161,33 +174,23 @@ def _matching_from_args(
 def cmd_morse(args: argparse.Namespace) -> int:
     report = Report("morse")
     X, table = _load_complex(args.complex, report)
-    M = _matching_from_args(args, X, table, report)
+    H = hasse(X)
+    M = _matching_from_args(args, H, table, report)
     if M is None:
         report.emit(args.json)
         return 0
     report.put("pairs", len(M))
-    morse = find_closed_vpath(X, M) is None
-    report.put("morse", morse)
-    if not morse:
-        witness = find_closed_vpath(X, M)
+    witness = closed_vpath(H, M)
+    report.put("morse", witness is None)
+    if witness is not None:
         report.put(
             "closed_vpath", " -> ".join(table.decode_cell(c) for c in witness)
         )
         report.emit(args.json)
         return 0
-    crit = critical_cells(X, M)
-    report.put("critical", [len(crit[k]) for k in range(X.dim + 1)])
     ts = thom_smale_complex(X, M)
-    entries = []
-    for k in range(1, X.dim + 1):
-        mat = ts.boundary(k)
-        for j, tau in enumerate(ts.basis(k)):
-            for i, sigma in enumerate(ts.basis(k - 1)):
-                if mat[i][j]:
-                    entries.append(
-                        f"{table.decode_cell(tau)} ; {table.decode_cell(sigma)} ; {mat[i][j]}"
-                    )
-    report.put("differential", entries)
+    report.put("critical", [ts.size(k) for k in range(X.dim + 1)])
+    report.put("differential", _differential_lines(ts, table))
     hm = homology(ts)
     hs = homology(chain_complex(X))
     report.put("morse_homology", _homology_lines(hm))
@@ -197,18 +200,12 @@ def cmd_morse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pivot_of(C, sigma: Cell, tau: Cell) -> int:
-    k = len(tau) - 1
-    row = C.basis(k - 1).index(sigma)
-    col = C.basis(k).index(tau)
-    return C.boundary(k)[row][col]
-
-
 def cmd_reduce(args: argparse.Namespace) -> int:
     report = Report("reduce")
     X, table = _load_complex(args.complex, report)
     pairs = parse_matching(_read_file(args.matching, report), table)
-    verdict = validate_matching(hasse(X), pairs)
+    H = hasse(X)
+    verdict = validate_matching(H, pairs)
     report.put("matching_valid", verdict.ok)
     if not verdict.ok:
         report.put("matching_problem", verdict.problem)
@@ -216,7 +213,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         return 0
     M = Matching(pairs)
     C = chain_complex(X)
-    morse = find_closed_vpath(X, M) is None
+    morse = is_morse(H, M)
     report.put("morse", morse)
 
     if args.all_orders:
@@ -244,38 +241,22 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     order = list(dict.fromkeys(order))  # a repeated line is eliminated once
     steps = []
     current = C
-    failed = None
     for i, (sigma, tau) in enumerate(order):
-        pivot = _pivot_of(current, sigma, tau)
+        pair = f"{table.decode_cell(sigma)} ; {table.decode_cell(tau)}"
+        pivot = current.column(len(tau) - 1, tau).get(sigma, 0)
         try:
             current = gaussian_eliminate(current, (sigma, tau))
         except EliminationError:
-            failed = (i, sigma, tau, pivot)
-            break
-        steps.append(
-            f"{table.decode_cell(sigma)} ; {table.decode_cell(tau)} ; pivot {pivot}"
-        )
+            report.put("steps", steps)
+            report.put("failed_step", i)
+            report.put("failed_pair", pair)
+            report.put("failed_pivot", pivot)
+            report.emit(args.json)
+            return 0
+        steps.append(f"{pair} ; pivot {pivot}")
     report.put("steps", steps)
-    if failed is not None:
-        i, sigma, tau, pivot = failed
-        report.put("failed_step", i)
-        report.put(
-            "failed_pair", f"{table.decode_cell(sigma)} ; {table.decode_cell(tau)}"
-        )
-        report.put("failed_pivot", pivot)
-        report.emit(args.json)
-        return 0
     report.put("reduced_sizes", [current.size(k) for k in range(current.top_dim + 1)])
-    entries = []
-    for k in range(1, current.top_dim + 1):
-        mat = current.boundary(k)
-        for j, tau in enumerate(current.basis(k)):
-            for i2, sigma in enumerate(current.basis(k - 1)):
-                if mat[i2][j]:
-                    entries.append(
-                        f"{table.decode_cell(tau)} ; {table.decode_cell(sigma)} ; {mat[i2][j]}"
-                    )
-    report.put("reduced_differential", entries)
+    report.put("reduced_differential", _differential_lines(current, table))
     if morse:
         report.put("matches_thom_smale", current == thom_smale_complex(X, M))
     report.emit(args.json)

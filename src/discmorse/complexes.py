@@ -11,6 +11,7 @@ plain ``cell -> -1`` tables produced by :func:`reorient` in
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ParseError
@@ -209,10 +210,13 @@ def product_triangulation(m: int, n: int) -> SimplicialComplex:
 
     Grid vertex (i, j) gets id i*(n+1) + j; the top cells are the monotone
     lattice paths from (0, 0) to (m, n), so there are C(m+n, m) of them,
-    each an (m+n)-simplex.
+    each an (m+n)-simplex. Refused like from_facets, before enumerating.
     """
     if m < 0 or n < 0:
         raise ValueError("simplex dimensions must be non-negative")
+    # a facet of more than 21 vertices alone is over budget; test that first
+    if m + n + 1 > 21 or math.comb(m + n, m) * ((1 << (m + n + 1)) - 1) > MAX_FACET_CELLS:
+        raise ParseError(f"facets expand to more than {MAX_FACET_CELLS} cells")
     facets = []
     for rights in itertools.combinations(range(m + n), m):
         right_steps = set(rights)

@@ -18,8 +18,8 @@ import itertools
 import random
 from typing import Iterable, NamedTuple, Sequence
 
-from .chains import ChainComplex, Label
-from .errors import EliminationError, NotMorseError
+from .chains import ChainComplex, Column, Label
+from .errors import EliminationError
 from .matchings import Matching, Pair, hasse, is_morse
 
 
@@ -28,52 +28,55 @@ class EliminationStep(NamedTuple):
     upper: Label  # generator of degree i (a column of the same matrix)
 
 
-def _locate(C: ChainComplex, step: EliminationStep) -> tuple[int, int, int]:
-    """Degree of the upper generator plus the row/column indices."""
-    lower, upper = step
-    for i in range(1, C.top_dim + 1):
-        if upper in C.basis(i):
-            if lower not in C.basis(i - 1):
-                raise ValueError(
-                    f"{lower!r} is not a generator one degree below {upper!r}"
-                )
-            return i, C.basis(i - 1).index(lower), C.basis(i).index(upper)
-    raise ValueError(f"{upper!r} is not a generator of any positive degree")
+def _without(entries: dict, drop: Label) -> dict:
+    """entries less the key drop; entries itself when drop is absent."""
+    if drop not in entries:
+        return entries
+    return {label: v for label, v in entries.items() if label != drop}
+
+
+def _nonzero(entries: dict) -> dict:
+    return {label: v for label, v in entries.items() if v}
 
 
 def gaussian_eliminate(C: ChainComplex, step: EliminationStep | Pair) -> ChainComplex:
-    """Eliminate one (lower, upper) pair; the pivot must be +1 or -1."""
+    """Eliminate one (lower, upper) pair; the pivot must be +1 or -1. The
+    result shares with C every column that contains neither generator."""
     step = EliminationStep(*step)
-    i, r, c = _locate(C, step)
-    mat = C.boundary(i)
-    pivot = mat[r][c]
+    lower, upper = step
+    i = next((k for k in range(1, C.top_dim + 1) if upper in C._bases[k]), 0)
+    if not i or lower not in C._bases[i - 1]:
+        raise ValueError(f"{upper!r} has no generator {lower!r} one degree below")
+    gamma = C._columns[i].get(upper, {})
+    pivot = gamma.get(lower, 0)
     if pivot not in (1, -1):
         raise EliminationError(
-            f"pivot <d {step.upper!r}, {step.lower!r}> = {pivot} is not invertible",
+            f"pivot <d {upper!r}, {lower!r}> = {pivot} is not invertible",
             step=0,
             pair=tuple(step),
             pivot=pivot,
         )
-    bases = {k: list(C.basis(k)) for k in range(C.top_dim + 1)}
-    del bases[i][c]
-    del bases[i - 1][r]
-    matrices = {k: C.boundary(k) for k in range(1, C.top_dim + 1)}
-    # eps - gamma * pivot^-1 * delta on the surviving block; pivot^-1 = pivot
-    new = []
-    for a, row in enumerate(mat):
-        if a == r:
-            continue
-        coeff = row[c] * pivot
-        new.append(
-            [row[b] - coeff * mat[r][b] for b in range(len(row)) if b != c]
-        )
-    matrices[i] = new
-    if i + 1 <= C.top_dim:
-        upper_mat = matrices[i + 1]
-        matrices[i + 1] = upper_mat[:c] + upper_mat[c + 1:]
-    if i - 1 >= 1:
-        matrices[i - 1] = [row[:r] + row[r + 1:] for row in matrices[i - 1]]
-    return ChainComplex(bases, matrices)
+
+    def update(col: Column) -> Column:
+        # eps - gamma * pivot^-1 * delta, pivot^-1 = pivot; lower cancels
+        a = col.get(lower)
+        if a is None:
+            return col
+        out = dict(col)
+        for sigma, v in gamma.items():
+            out[sigma] = out.get(sigma, 0) - a * pivot * v
+        return _nonzero(out)
+
+    bases = dict(C._bases)
+    for k, drop in ((i, upper), (i - 1, lower)):
+        bases[k] = {label: p for p, label in enumerate(_without(bases[k], drop))}
+    columns = dict(C._columns)
+    columns[i] = _nonzero({t: update(c) for t, c in _without(columns[i], upper).items()})
+    if i + 1 in columns:
+        columns[i + 1] = _nonzero({r: _without(c, upper) for r, c in columns[i + 1].items()})
+    if i - 1 in columns:
+        columns[i - 1] = _without(columns[i - 1], lower)
+    return ChainComplex._trusted(bases, columns)
 
 
 def eliminate_sequence(

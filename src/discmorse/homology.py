@@ -9,7 +9,6 @@ classification needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -30,15 +29,15 @@ def _identity(n: int) -> Matrix:
 
 
 class _SmithWorker:
-    """Row-sparse elimination with optional dense transform tracking."""
+    """Row-sparse elimination of owned ``{column: entry}`` row dicts, with
+    optional dense transform tracking."""
 
-    def __init__(self, A: Sequence[Sequence[int]], n_cols: int, transforms: bool):
-        self.m = len(A)
+    def __init__(self, rows: list[dict[int, int]], n_cols: int, transforms: bool):
+        self.m = len(rows)
         self.n = n_cols
-        self.rows: list[dict[int, int]] = [
-            {j: v for j, v in enumerate(row) if v} for row in A
-        ]
+        self.rows = rows
         self.track = transforms
+        self.U = self.U_inv = self.V = self.V_inv = None
         if transforms:
             self.U = _identity(self.m)
             self.U_inv = _identity(self.m)
@@ -251,21 +250,23 @@ def smith_normal_form(
     ``n_cols`` disambiguates the width of matrices with zero rows. With
     ``transforms=False`` only the diagonal is computed, which is cheaper.
     """
-    m = len(A)
     if n_cols is None:
-        n_cols = len(A[0]) if m else 0
+        n_cols = len(A[0]) if A else 0
     if any(len(row) != n_cols for row in A):
         raise ValueError("ragged matrix")
-    worker = _SmithWorker(A, n_cols, transforms)
+    return _smith([{j: v for j, v in enumerate(row) if v} for row in A], n_cols, transforms)
+
+
+def _smith(rows: list[dict[int, int]], n_cols: int, transforms: bool) -> SmithNormalForm:
+    m = len(rows)
+    worker = _SmithWorker(rows, n_cols, transforms)
     rank = worker.run()
     diag = tuple(
         worker.rows[t][t] if t < rank else 0 for t in range(min(m, n_cols))
     )
-    if transforms:
-        return SmithNormalForm(
-            (m, n_cols), diag, rank, worker.U, worker.V, worker.U_inv, worker.V_inv
-        )
-    return SmithNormalForm((m, n_cols), diag, rank, None, None, None, None)
+    return SmithNormalForm(
+        (m, n_cols), diag, rank, worker.U, worker.V, worker.U_inv, worker.V_inv
+    )
 
 
 def integer_determinant(M: Sequence[Sequence[int]]) -> int:
@@ -356,6 +357,16 @@ class HomologySummary:
         )
 
 
+def _rows(C: ChainComplex, k: int) -> list[dict[int, int]]:
+    """Smith worker rows of C's degree-k boundary, keys ascending."""
+    index = {sigma: i for i, sigma in enumerate(C.basis(k - 1))}
+    rows: list[dict[int, int]] = [{} for _ in index]
+    for j, tau in enumerate(C.basis(k)):
+        for sigma, v in C.column(k, tau).items():
+            rows[index[sigma]][j] = v
+    return rows
+
+
 def homology(C: ChainComplex) -> HomologySummary:
     """Homology of an integer chain complex via Smith normal form.
 
@@ -366,7 +377,7 @@ def homology(C: ChainComplex) -> HomologySummary:
     ranks = [0] * (top + 2)
     torsion: list[tuple[int, ...]] = [()] * (top + 1)
     for k in range(1, top + 1):
-        s = smith_normal_form(C.boundary(k), n_cols=C.size(k), transforms=False)
+        s = _smith(_rows(C, k), C.size(k), transforms=False)
         ranks[k] = s.rank
         torsion[k - 1] = tuple(d for d in s.factors if d > 1)
     betti = tuple(
@@ -414,45 +425,28 @@ def cycle_class(C: ChainComplex, k: int, z: Mapping[Label, int]) -> CycleClass:
             raise ValueError(f"{lab!r} is not a degree-{k} generator")
         zv[index[lab]] = coeff
 
-    if k == 0:
-        rank = 0
-        w = list(zv)
-        vinv = None
-    else:
-        s = smith_normal_form(C.boundary(k), n_cols=len(basis), transforms=True)
-        rank = s.rank
-        vinv = s.V_inv
-        w_full = [
-            sum(vinv[a][i] * zv[i] for i in range(len(basis)) if zv[i])
-            for a in range(len(basis))
-        ]
-        if any(w_full[:rank]):
-            raise ValueError("z is not a cycle")
-        w = w_full[rank:]
+    # in degree 0 the boundary has no rows, so V_inv is the identity
+    s = _smith(_rows(C, k), len(basis), transforms=True)
+    rank = s.rank
+    vinv = s.V_inv
+    w_full = [
+        sum(vinv[a][i] * zv[i] for i in range(len(basis)) if zv[i])
+        for a in range(len(basis))
+    ]
+    if any(w_full[:rank]):
+        raise ValueError("z is not a cycle")
+    w = w_full[rank:]
 
+    # the boundaries from degree k+1, written in kernel coordinates
     ker_dim = len(basis) - rank
-    if k == C.top_dim:
-        n_above = 0
-        B: Matrix = [[] for _ in range(ker_dim)]
-    else:
-        above = C.boundary(k + 1)
-        n_above = C.size(k + 1)
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(n_above)]
-        for i, row in enumerate(above):
-            for j, v in enumerate(row):
-                if v:
-                    cols[j].append((i, v))
-        B = [[0] * n_above for _ in range(ker_dim)]
-        for j, col in enumerate(cols):
-            for a in range(ker_dim):
-                if vinv is None:
-                    # degree 0: kernel coordinates are the raw coordinates
-                    acc = sum(v for i, v in col if i == a)
-                else:
-                    acc = sum(vinv[rank + a][i] * v for i, v in col)
-                if acc:
-                    B[a][j] = acc
-    sb = smith_normal_form(B, n_cols=n_above, transforms=True)
+    B: list[dict[int, int]] = [{} for _ in range(ker_dim)]
+    for j, tau in enumerate(C.basis(k + 1)):
+        col = [(index[sigma], v) for sigma, v in C.column(k + 1, tau).items()]
+        for a in range(ker_dim):
+            acc = sum(vinv[rank + a][i] * v for i, v in col)
+            if acc:
+                B[a][j] = acc
+    sb = _smith(B, C.size(k + 1), transforms=True)
     u = [
         sum(sb.U[a][b] * w[b] for b in range(ker_dim) if w[b])
         for a in range(ker_dim)

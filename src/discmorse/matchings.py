@@ -112,6 +112,7 @@ class Matching:
         return tuple(sorted(self._pairs))
 
     def remove(self, edge: Pair) -> "Matching":
+        """The matching without one pair. Submatchings of Morse stay Morse."""
         if edge not in self._pairs:
             raise ValueError(f"edge {edge} is not in the matching")
         return Matching(self._pairs - {edge})
@@ -185,6 +186,15 @@ def _successors(H: HasseDiagram, M: Matching, cell: Cell) -> list[Cell]:
 
 def is_morse(H: HasseDiagram, M: Matching) -> bool:
     """True when the matched Hasse digraph is acyclic (no closed V-path)."""
+    return closed_vpath(H, M) is None
+
+
+def closed_vpath(H: HasseDiagram, M: Matching) -> tuple[Cell, ...] | None:
+    """A closed V-path of M, or None when M is Morse, by one linear DFS.
+
+    A cycle of the matched Hasse digraph alternates between dimensions k
+    and k+1, so its k-cells in stack order, closed up, are a V-path.
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[Cell, int] = {}
     for start in H.vertices():
@@ -200,7 +210,11 @@ def is_morse(H: HasseDiagram, M: Matching) -> bool:
             for nxt in it:
                 c = color.get(nxt, WHITE)
                 if c == GRAY:
-                    return False
+                    cycle = [cell for cell, _ in stack]
+                    cycle = cycle[cycle.index(nxt):]
+                    low = min(len(cell) for cell in cycle)
+                    path = tuple(cell for cell in cycle if len(cell) == low)
+                    return path + path[:1]
                 if c == WHITE:
                     color[nxt] = GRAY
                     stack.append((nxt, iter(_successors(H, M, nxt))))
@@ -209,11 +223,12 @@ def is_morse(H: HasseDiagram, M: Matching) -> bool:
             if not advanced:
                 color[node] = BLACK
                 stack.pop()
-    return True
+    return None
 
 
 def find_closed_vpath(X: SimplicialComplex, M: Matching) -> tuple[Cell, ...] | None:
-    """A closed V-path found by literal enumeration, or None.
+    """A closed V-path found by literal enumeration, or None; an
+    exponential test oracle for :func:`closed_vpath`.
 
     Walks V-paths cell by cell from every matched lower cell, restricted to
     paths without interior repeats; any closed V-path contains such a
@@ -247,11 +262,6 @@ def _steps(M: Matching, sigma: Cell) -> Iterator[Cell]:
 
 def has_closed_vpath_bruteforce(X: SimplicialComplex, M: Matching) -> bool:
     return find_closed_vpath(X, M) is not None
-
-
-def remove_edge(M: Matching, edge: Pair) -> Matching:
-    """The matching without one pair. Submatchings of Morse stay Morse."""
-    return M.remove(edge)
 
 
 def _collapse_engine(

@@ -10,7 +10,7 @@ underlying complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .chains import ChainComplex
 from .complexes import Cell, Orientation, SimplicialComplex, hyperfaces, incidence
@@ -189,8 +189,8 @@ def differential_entry(
 class MorseComplex(ChainComplex):
     """The critical-cell chain complex, with its origins attached."""
 
-    def __init__(self, bases, matrices, complex: SimplicialComplex, matching: Matching):
-        super().__init__(bases, matrices)
+    def __init__(self, bases, boundaries, complex: SimplicialComplex, matching: Matching):
+        super().__init__(bases, boundaries)
         self.complex = complex
         self.matching = matching
 
@@ -211,24 +211,18 @@ def thom_smale_complex(
         raise NotMorseError("matching has a closed V-path")
     crit = critical_cells(X, M)
     bases = {k: crit.get(k, ()) for k in range(X.dim + 1)}
-    matrices: dict[int, list[list[int]]] = {}
+    boundaries: dict[int, dict[Cell, dict[Cell, int]]] = {}
     for k in range(1, X.dim + 1):
-        rows, cols = bases[k - 1], bases[k]
-        row_index = {c: i for i, c in enumerate(rows)}
-        starts = sorted({s for tau in cols for s in hyperfaces(tau)})
+        starts = sorted({s for tau in bases[k] for s in hyperfaces(tau)})
         counts = _signed_counts(X, M, starts, orientation)
-        mat = [[0] * len(cols) for _ in rows]
-        for j, tau in enumerate(cols):
-            acc: dict[Cell, int] = {}
+        boundaries[k] = {}
+        for tau in bases[k]:
+            acc = boundaries[k][tau] = {}
             for s in hyperfaces(tau):
                 inc = incidence(tau, s, orientation)
                 for crit_cell, n in counts[s].items():
                     acc[crit_cell] = acc.get(crit_cell, 0) + inc * n
-            for crit_cell, n in acc.items():
-                if n:
-                    mat[row_index[crit_cell]][j] = n
-        matrices[k] = mat
-    return MorseComplex(bases, matrices, complex=X, matching=M)
+    return MorseComplex(bases, boundaries, complex=X, matching=M)
 
 
 def reorient(X: SimplicialComplex, flips: Iterable[Cell]) -> dict[Cell, int]:

@@ -1,7 +1,15 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discmorse.chains import ChainComplex, boundary_matrix, chain_complex
-from discmorse.complexes import SimplicialComplex
+from discmorse.complexes import SimplicialComplex, incidence
+from discmorse.elimination import eliminate_sequence
+from discmorse.homology import homology
+from discmorse.matchings import random_morse_matching
+from discmorse.morse import reorient, thom_smale_complex
 
 
 def triangle():
@@ -42,13 +50,32 @@ def test_constructor_checks_d_squared():
     with pytest.raises(ValueError):
         ChainComplex(
             {0: ["a", "b"], 1: ["e"], 2: ["f"]},
-            {1: [[1], [1]], 2: [[1]]},
+            {1: {"e": {"a": 1, "b": 1}}, 2: {"f": {"e": 1}}},
         )
     # the same data with a consistent differential passes
     ChainComplex(
         {0: ["a", "b"], 1: ["e"], 2: ["f"]},
-        {1: [[-1], [1]], 2: [[0]]},
+        {1: {"e": {"a": -1, "b": 1}}, 2: {"f": {"e": 0}}},
     )
+
+
+def test_column_is_a_sparse_copy():
+    C = chain_complex(triangle())
+    col = C.column(1, (0, 1))
+    assert col == {(0,): -1, (1,): 1}
+    col[(0,)] = 99
+    assert C.column(1, (0, 1)) == {(0,): -1, (1,): 1}
+    assert C.column(0, (2,)) == {}
+    with pytest.raises(ValueError):
+        C.column(1, (0, 2, 9))
+
+
+def test_constructor_drops_zeros():
+    A = ChainComplex({0: ["a", "b"], 1: ["e", "f"]}, {1: {"e": {"a": 1, "b": 0}, "f": {}}})
+    B = ChainComplex({0: ["a", "b"], 1: ["e", "f"]}, {1: {"e": {"a": 1}}})
+    assert A == B
+    assert A.column(1, "f") == {}
+    assert A.boundary(1) == [[1, 0], [0, 0]]
 
 
 def test_constructor_checks_shapes_and_labels():
@@ -57,12 +84,46 @@ def test_constructor_checks_shapes_and_labels():
     with pytest.raises(ValueError):
         ChainComplex({0: ["a"], 2: ["b"]}, {})  # degree gap
     with pytest.raises(ValueError):
-        ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [[1]]})  # wrong row count
+        ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: {"e": {"c": 1}}})  # no row "c"
+    with pytest.raises(ValueError):
+        ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: {"g": {"a": 1}}})  # no column "g"
+    with pytest.raises(ValueError):
+        ChainComplex({0: ["a"]}, {1: {}})  # no degree 1
 
 
 def test_equality_is_by_bases_and_matrices():
-    A = ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [[-1], [1]]})
-    B = ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [[-1], [1]]})
-    C = ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [[1], [-1]]})
+    A = ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: {"e": {"a": -1, "b": 1}}})
+    B = ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: {"e": {"a": -1, "b": 1}}})
+    C = ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: {"e": {"a": 1, "b": -1}}})
     assert A == B
     assert A != C
+
+
+@st.composite
+def oriented_matchings(draw):
+    """A complex with facets on at most 7 vertices and of dimension at most
+    3, an orientation flipping random cells, and a random Morse matching."""
+    facets = draw(
+        st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=6)
+    )
+    X = SimplicialComplex.from_facets(facets)
+    cells = list(X.all_cells())
+    flips = draw(st.lists(st.sampled_from(cells), max_size=len(cells)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    M = random_morse_matching(X, rng, keep=draw(st.sampled_from([1.0, 0.75, 0.5])))
+    return X, reorient(X, flips), M
+
+
+@settings(max_examples=100, deadline=None)
+@given(oriented_matchings())
+def test_sparse_storage_agrees_with_the_incidence_oracle(case):
+    X, orientation, M = case
+    C = chain_complex(X, orientation)
+    for k in range(1, X.dim + 1):
+        assert C.boundary(k) == [
+            [incidence(tau, sigma, orientation) for tau in X.cells(k)]
+            for sigma in X.cells(k - 1)
+        ]
+    T = thom_smale_complex(X, M, orientation)
+    assert eliminate_sequence(C, M) == T
+    assert homology(T) == homology(C)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -254,6 +255,15 @@ def test_product_refuses_negative_dimensions(capsys):
     code, out, err = run(capsys, ["product", "-1", "2"])
     assert code == 2 and out == ""
     assert err == "error: simplex dimensions must be non-negative\n"
+
+
+def test_product_refuses_oversized_products_at_once(capsys):
+    for m, n in (("10", "10"), ("1000000", "1000000")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["product", m, n])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("error: facets expand to more than ")
 
 
 def test_oversized_facet_exits_2(tmp_path, capsys):

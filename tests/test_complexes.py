@@ -143,6 +143,14 @@ def test_product_triangulation_facet_count_is_binomial():
         assert len(X.cells(0)) == (m + 1) * (n + 1)
 
 
+def test_product_triangulation_refuses_oversized_products_before_enumerating():
+    # C(20, 10) = 184,756 facets of 21 vertices each; the second would
+    # overflow any budget, and must not compute its binomial either
+    for m, n in ((10, 10), (1_000_000, 1_000_000)):
+        with pytest.raises(ParseError, match="facets expand to more than"):
+            product_triangulation(m, n)
+
+
 def test_from_facets_refuses_expansions_over_budget():
     # refused before expanding: building the 2**40 - 1 faces would not end
     with pytest.raises(ParseError, match="facets expand to more than"):

@@ -51,7 +51,7 @@ def test_gaussian_eliminate_rejects_non_unit_pivots():
     assert exc.value.pivot == 0
     with pytest.raises(ValueError):
         gaussian_eliminate(C, ((2,), (0, 0, 7)))  # unknown generator
-    doubled = ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [[-2], [2]]})
+    doubled = ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: {"e": {"a": -2, "b": 2}}})
     with pytest.raises(EliminationError):
         gaussian_eliminate(doubled, ("a", "e"))
 

@@ -9,6 +9,7 @@ from discmorse.errors import MatchingError
 from discmorse.homology import homology
 from discmorse.matchings import (
     Matching,
+    closed_vpath,
     critical_cells,
     find_closed_vpath,
     find_collapse,
@@ -18,7 +19,6 @@ from discmorse.matchings import (
     is_morse,
     random_matching,
     random_morse_matching,
-    remove_edge,
     validate_matching,
 )
 
@@ -82,7 +82,7 @@ def test_matching_remove_and_equality():
     M = Matching([((0,), (0, 1)), ((1,), (1, 2))])
     N = M.remove(((0,), (0, 1)))
     assert N == Matching([((1,), (1, 2))])
-    assert remove_edge(M, ((1,), (1, 2))) == Matching([((0,), (0, 1))])
+    assert M.remove(((1,), (1, 2))) == Matching([((0,), (0, 1))])
     with pytest.raises(ValueError):
         M.remove(((2,), (0, 2)))
     assert M == Matching(reversed(M.pairs()))
@@ -133,6 +133,53 @@ def test_find_closed_vpath_witness():
         tau = cyc.v(a)
         assert tau is not None and set(b) < set(tau) and b != a
     assert find_closed_vpath(X, Matching([((0,), (0, 1))])) is None
+
+
+def every_matching(X):
+    """Every set of pairwise disjoint Hasse edges of X, the empty one included."""
+    edges = list(hasse(X).edges())
+
+    def extend(i, used):
+        if i == len(edges):
+            yield ()
+            return
+        yield from extend(i + 1, used)
+        lo, hi = edges[i]
+        if lo not in used and hi not in used:
+            for rest in extend(i + 1, used | {lo, hi}):
+                yield (edges[i],) + rest
+
+    return [Matching(pairs) for pairs in extend(0, frozenset())]
+
+
+def is_closed_vpath(M, path):
+    return (
+        len(path) >= 3
+        and path[0] == path[-1]
+        and all(
+            M.v(a) is not None and b != a and len(b) == len(a) and set(b) < set(M.v(a))
+            for a, b in zip(path, path[1:])
+        )
+    )
+
+
+def test_closed_vpath_witness_agrees_with_the_oracle():
+    cases = [(X, every_matching(X)) for X in (circle(), product_triangulation(1, 1))]
+    rng = random.Random(7)
+    T = torus()
+    cases.append(
+        (T, [random_matching(T, rng, density=rng.choice((0.4, 0.8, 1.0))) for _ in range(150)])
+    )
+    found = 0
+    for X, matchings in cases:
+        H = hasse(X)
+        for M in matchings:
+            w = closed_vpath(H, M)
+            assert (w is None) == (find_closed_vpath(X, M) is None)
+            if w is not None:
+                assert is_closed_vpath(M, w), (M.pairs(), w)
+                found += 1
+    assert found > 0
 
 
 def test_bruteforce_oracle_matches_is_morse_on_random_matchings():
