@@ -8,8 +8,9 @@ The package is organized bottom-up:
   and ``boundary(k)`` returns a dense copy.
 - matchings: Hasse diagrams, (Morse) matchings, collapses, greedy and
   randomized matching search.
-- morse: V-paths, their signed multiplicities, and the chain complex on
-  critical cells.
+- morse: V-paths, their signed multiplicities, the chain complex on
+  critical cells, and ``simplicial_homology``, which runs the Smith form
+  on that complex only.
 - elimination: unit-pivot Gaussian elimination of matched pairs and the
   equivalence with Morse matchings.
 - homology: integer Smith normal form with transforms, Betti numbers,
@@ -62,7 +63,6 @@ from .matchings import (
     find_closed_vpath,
     find_collapse,
     greedy_morse_matching,
-    has_closed_vpath_bruteforce,
     hasse,
     is_morse,
     random_matching,
@@ -76,6 +76,7 @@ from .morse import (
     multiplicity,
     path_counts_signed,
     reorient,
+    simplicial_homology,
     thom_smale_complex,
     vpaths,
 )

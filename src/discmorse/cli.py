@@ -47,7 +47,7 @@ from .matchings import (
     is_morse,
     validate_matching,
 )
-from .morse import thom_smale_complex
+from .morse import _thom_smale, simplicial_homology
 
 
 class Report:
@@ -129,7 +129,7 @@ def _homology_lines(h) -> list[str]:
 def cmd_homology(args: argparse.Namespace) -> int:
     report = Report("homology")
     X, _ = _load_complex(args.complex, report)
-    h = homology(chain_complex(X))
+    h = simplicial_homology(X)
     report.put("betti", list(h.betti))
     for k, t in enumerate(h.torsion):
         if t:
@@ -188,7 +188,7 @@ def cmd_morse(args: argparse.Namespace) -> int:
         )
         report.emit(args.json)
         return 0
-    ts = thom_smale_complex(X, M)
+    ts = _thom_smale(X, M)
     report.put("critical", [ts.size(k) for k in range(X.dim + 1)])
     report.put("differential", _differential_lines(ts, table))
     hm = homology(ts)
@@ -225,7 +225,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             report.put("failure_step", res.failure.step)
             report.put("failure_pivot", res.failure.pivot)
         if res.agree and morse:
-            report.put("matches_thom_smale", res.reduced == thom_smale_complex(X, M))
+            report.put("matches_thom_smale", res.reduced == _thom_smale(X, M))
         report.emit(args.json)
         return 0
 
@@ -258,7 +258,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     report.put("reduced_sizes", [current.size(k) for k in range(current.top_dim + 1)])
     report.put("reduced_differential", _differential_lines(current, table))
     if morse:
-        report.put("matches_thom_smale", current == thom_smale_complex(X, M))
+        report.put("matches_thom_smale", current == _thom_smale(X, M))
     report.emit(args.json)
     return 0
 

@@ -260,10 +260,6 @@ def _steps(M: Matching, sigma: Cell) -> Iterator[Cell]:
     return iter(() if tau is None else [c for c in hyperfaces(tau) if c != sigma])
 
 
-def has_closed_vpath_bruteforce(X: SimplicialComplex, M: Matching) -> bool:
-    return find_closed_vpath(X, M) is not None
-
-
 def _collapse_engine(
     X: SimplicialComplex,
     keep: frozenset[Cell],

@@ -9,13 +9,15 @@ underlying complex.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterable
 
 from .chains import ChainComplex
 from .complexes import Cell, Orientation, SimplicialComplex, hyperfaces, incidence
 from .errors import NotMorseError
-from .matchings import Matching, critical_cells, hasse, is_morse
+from .homology import HomologySummary, homology
+from .matchings import Matching, critical_cells, hasse, is_morse, random_morse_matching
 
 
 @dataclass(frozen=True)
@@ -209,6 +211,14 @@ def thom_smale_complex(
     """
     if not is_morse(hasse(X), M):
         raise NotMorseError("matching has a closed V-path")
+    return _thom_smale(X, M, orientation)
+
+
+def _thom_smale(
+    X: SimplicialComplex, M: Matching, orientation: Orientation | None = None
+) -> MorseComplex:
+    """:func:`thom_smale_complex` without its acyclicity check, for callers
+    that have just decided on the same X that M is Morse."""
     crit = critical_cells(X, M)
     bases = {k: crit.get(k, ()) for k in range(X.dim + 1)}
     boundaries: dict[int, dict[Cell, dict[Cell, int]]] = {}
@@ -223,6 +233,17 @@ def thom_smale_complex(
                 for crit_cell, n in counts[s].items():
                     acc[crit_cell] = acc.get(crit_cell, 0) + inc * n
     return MorseComplex(bases, boundaries, complex=X, matching=M)
+
+
+def simplicial_homology(X: SimplicialComplex) -> HomologySummary:
+    """Integral homology of X through its Thom-Smale complex.
+
+    A seeded random collapse leaves few critical cells, and the Smith form
+    runs on those only. Morse homology equals simplicial homology for every
+    Morse matching, so the answer is ``homology(chain_complex(X))`` and the
+    fixed seed affects only the speed.
+    """
+    return homology(thom_smale_complex(X, random_morse_matching(X, random.Random(0))))
 
 
 def reorient(X: SimplicialComplex, flips: Iterable[Cell]) -> dict[Cell, int]:

@@ -9,7 +9,7 @@ from discmorse.complexes import SimplicialComplex, incidence
 from discmorse.elimination import eliminate_sequence
 from discmorse.homology import homology
 from discmorse.matchings import random_morse_matching
-from discmorse.morse import reorient, thom_smale_complex
+from discmorse.morse import reorient, simplicial_homology, thom_smale_complex
 
 
 def triangle():
@@ -99,14 +99,17 @@ def test_equality_is_by_bases_and_matrices():
     assert A != C
 
 
+# complexes with facets on at most 7 vertices and of dimension at most 3
+small_complexes = st.lists(
+    st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=6
+).map(SimplicialComplex.from_facets)
+
+
 @st.composite
 def oriented_matchings(draw):
-    """A complex with facets on at most 7 vertices and of dimension at most
-    3, an orientation flipping random cells, and a random Morse matching."""
-    facets = draw(
-        st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=6)
-    )
-    X = SimplicialComplex.from_facets(facets)
+    """A small complex, an orientation flipping random cells, and a random
+    Morse matching."""
+    X = draw(small_complexes)
     cells = list(X.all_cells())
     flips = draw(st.lists(st.sampled_from(cells), max_size=len(cells)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -127,3 +130,9 @@ def test_sparse_storage_agrees_with_the_incidence_oracle(case):
     T = thom_smale_complex(X, M, orientation)
     assert eliminate_sequence(C, M) == T
     assert homology(T) == homology(C)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_complexes)
+def test_simplicial_homology_agrees_with_the_dense_route(X):
+    assert simplicial_homology(X) == homology(chain_complex(X))

@@ -1,9 +1,13 @@
 import json
 import time
+from importlib import resources
 
 import pytest
 
+from discmorse import corpus
+from discmorse.chains import chain_complex
 from discmorse.cli import main
+from discmorse.homology import homology
 
 CIRCLE = "0 1\n1 2\n0 2\n"
 TRIANGLE = "0 1 2\n"
@@ -43,6 +47,25 @@ def test_homology_json_report(tmp_path, capsys):
     assert list(doc["inputs"]) == [path]
     assert doc["results"]["betti"] == [1, 1]
     assert doc["warnings"] == []
+
+
+def test_homology_agrees_with_the_dense_route_on_every_bundled_file(tmp_path, capsys):
+    for name in corpus.names():
+        path = resources.files("discmorse").joinpath(f"data/{name}.facets")
+        code, out, err = run(capsys, ["homology", "--json", str(path)])
+        assert code == 0 and err == "", name
+        h = homology(chain_complex(corpus.load(name)))
+        results = json.loads(out)["results"]
+        assert results["betti"] == list(h.betti), name
+        assert {k: v for k, v in results.items() if k.startswith("torsion_")} == {
+            f"torsion_{k}": list(t) for k, t in enumerate(h.torsion) if t
+        }, name
+        assert results["homology"] == [f"H_{k} = {h.group(k)}" for k in range(len(h.betti))]
+
+    path = write(tmp_path, "empty.facets", "")
+    code, out, err = run(capsys, ["homology", path])
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_homology_reports_torsion(tmp_path, capsys):

@@ -3,8 +3,13 @@ import random
 
 import pytest
 
+from discmorse import corpus
 from discmorse.chains import chain_complex
-from discmorse.complexes import SimplicialComplex, product_triangulation
+from discmorse.complexes import (
+    SimplicialComplex,
+    barycentric_subdivision,
+    product_triangulation,
+)
 from discmorse.errors import NotMorseError
 from discmorse.homology import homology
 from discmorse.matchings import Matching, random_morse_matching
@@ -14,6 +19,7 @@ from discmorse.morse import (
     multiplicity,
     path_counts_signed,
     reorient,
+    simplicial_homology,
     thom_smale_complex,
     vpaths,
 )
@@ -193,3 +199,42 @@ def test_homology_is_orientation_independent():
         table = reorient(X, flips)
         M = random_morse_matching(X, rng)
         assert homology(thom_smale_complex(X, M, orientation=table)) == hX
+
+
+# --- simplicial homology through the Morse complex ---
+
+
+def sd(X, times=1):
+    for _ in range(times):
+        X = barycentric_subdivision(X).complex
+    return X
+
+
+def test_simplicial_homology_on_the_corpus_and_subdivisions():
+    cases = [corpus.build(name) for name in corpus.names()]
+    cases += [sd(X) for X in cases]
+    cases += [sd(corpus.build(name), 2) for name in ("torus", "projective_plane", "klein_bottle")]
+    for X in cases:
+        assert simplicial_homology(X) == homology(chain_complex(X)), X
+    # sd^2 of the Klein bottle keeps its Z/2 torsion
+    h = simplicial_homology(cases[-1])
+    assert h.betti == (1, 1, 0) and h.torsion == ((), (2,), ())
+
+
+def test_simplicial_homology_matches_sympy_on_the_corpus():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sym_snf
+
+    for name in corpus.names():
+        X = corpus.build(name)
+        C = chain_complex(X)
+        ranks = [0] * (X.dim + 2)
+        torsion = [()] * (X.dim + 1)
+        for k in range(1, X.dim + 1):
+            D = sym_snf(sympy.Matrix(C.boundary(k)))
+            diag = [abs(D[i, i]) for i in range(min(D.shape))]
+            ranks[k] = sum(1 for d in diag if d)
+            torsion[k - 1] = tuple(sorted(int(d) for d in diag if d > 1))
+        betti = tuple(C.size(k) - ranks[k] - ranks[k + 1] for k in range(X.dim + 1))
+        h = simplicial_homology(X)
+        assert (h.betti, h.torsion) == (betti, tuple(torsion)), name
