@@ -10,7 +10,6 @@ exit nonzero.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from typing import Any
@@ -60,6 +59,7 @@ class Report:
         self.warnings: list[str] = []
 
     def add_input(self, path: str, data: bytes) -> None:
+        import hashlib  # here: it loads OpenSSL, 3-4 MiB only file inputs need
         self.inputs[path] = hashlib.sha256(data).hexdigest()
 
     def put(self, key: str, value: Any) -> None:

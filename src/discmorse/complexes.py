@@ -76,10 +76,22 @@ def incidence(tau: Cell, sigma: Cell, orientation: Orientation | None = None) ->
     return sign
 
 
+class CellIndex(NamedTuple):
+    """Cells numbered by (dimension, lexicographic) rank, as in all_cells().
+    ``faces[i]`` lists the hyperface ids of cell i in :func:`hyperfaces`
+    order, so position j carries the incidence sign (-1)**j before any
+    orientation flips; ``cofaces[i]`` lists the ids of its cofaces, ascending."""
+
+    cells: tuple[Cell, ...]
+    id_of: dict[Cell, int]
+    faces: tuple[tuple[int, ...], ...]
+    cofaces: tuple[tuple[int, ...], ...]
+
+
 class SimplicialComplex:
     """An immutable finite simplicial complex, closed under taking faces."""
 
-    __slots__ = ("_by_dim", "_cells")
+    __slots__ = ("_by_dim", "_cells", "_index")
 
     def __init__(self, cells: Iterable[Iterable[int]]):
         canon = {as_cell(c) for c in cells}
@@ -96,6 +108,7 @@ class SimplicialComplex:
             k: tuple(sorted(v)) for k, v in sorted(by_dim.items())
         }
         self._cells = frozenset(canon)
+        self._index: CellIndex | None = None
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -134,6 +147,19 @@ class SimplicialComplex:
         """All cells, dimension ascending, lexicographic within a dimension."""
         for k in sorted(self._by_dim):
             yield from self._by_dim[k]
+
+    def index(self) -> CellIndex:
+        """The cell index, built on first use and kept (X is immutable)."""
+        if self._index is None:
+            cells = tuple(self.all_cells())
+            id_of = {c: i for i, c in enumerate(cells)}
+            faces = tuple(tuple([id_of[f] for f in hyperfaces(c)]) for c in cells)
+            up: list[list[int]] = [[] for _ in cells]
+            for i, fs in zip(id_of.values(), faces):
+                for f in fs:
+                    up[f].append(i)
+            self._index = CellIndex(cells, id_of, faces, tuple(map(tuple, up)))
+        return self._index
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self._by_dim[0])

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .chains import chain_complex
 from .complexes import Cell, SimplicialComplex, Subdivision
 from .errors import MatchingError
-from .homology import cycle_class
+from .homology import in_column_span
 from .matchings import HasseDiagram, Matching, Pair
 
 
@@ -24,37 +23,37 @@ def complete_matching(H: HasseDiagram) -> Matching | None:
     """A matching covering every cell, or None when none exists.
 
     Cells split by dimension parity into the two sides of a bipartite
-    graph; augmenting paths (Kuhn's algorithm, iterative) grow a maximum
-    matching, and completeness is checked at the end. Unequal parity
-    counts, i.e. nonzero Euler characteristic, fail immediately.
+    graph; augmenting paths (Kuhn's algorithm, iterative, on cell ids) grow
+    a maximum matching, and completeness is checked at the end. Unequal
+    parity counts, i.e. nonzero Euler characteristic, fail immediately.
     """
-    X = H.complex
-    evens = [c for c in X.all_cells() if len(c) % 2 == 1]  # even dim = odd size
-    odds = [c for c in X.all_cells() if len(c) % 2 == 0]
+    cells, _, faces, cofaces = H.complex.index()
+    evens = [i for i, c in enumerate(cells) if len(c) % 2 == 1]  # even dim = odd size
+    odds = [i for i, c in enumerate(cells) if len(c) % 2 == 0]
     if len(evens) != len(odds):
         return None
-    neighbors = {c: H.down(c) + H.up(c) for c in evens}
-    match_of: dict[Cell, Cell] = {}  # odd cell -> even cell
+    match_of = [-1] * len(cells)
+    parent = [-1] * len(cells)  # odd cell -> even cell it was reached from
+    visited = [-1] * len(cells)  # odd cell -> the start whose search saw it
 
     for start in evens:
         # iterative DFS for an augmenting path from this uncovered even cell
-        parent: dict[Cell, Cell] = {}
         stack = [start]
-        visited: set[Cell] = set()
         augmented = False
         while stack and not augmented:
             even = stack.pop()
-            for odd in neighbors[even]:
-                if odd in visited:
+            # faces in sorted(hyperfaces) order, then cofaces
+            for odd in faces[even][::-1] + cofaces[even]:
+                if visited[odd] == start:
                     continue
-                visited.add(odd)
+                visited[odd] = start
                 parent[odd] = even
-                owner = match_of.get(odd)
-                if owner is None:
+                owner = match_of[odd]
+                if owner < 0:
                     # flip the alternating path back to the start
-                    while odd is not None:
+                    while odd >= 0:
                         prev_even = parent[odd]
-                        next_odd = match_of.get(prev_even)
+                        next_odd = match_of[prev_even]
                         match_of[odd] = prev_even
                         match_of[prev_even] = odd
                         odd = next_odd
@@ -63,12 +62,10 @@ def complete_matching(H: HasseDiagram) -> Matching | None:
                 stack.append(owner)
         if not augmented:
             return None
-    pairs = []
-    for odd in odds:
-        even = match_of[odd]
-        lower, upper = (even, odd) if len(even) < len(odd) else (odd, even)
-        pairs.append((lower, upper))
-    return Matching(pairs)
+    # ids rank dimension first, so the smaller id of a pair is its face
+    return Matching(
+        (cells[min(odd, match_of[odd])], cells[max(odd, match_of[odd])]) for odd in odds
+    )
 
 
 @dataclass(frozen=True)
@@ -150,20 +147,6 @@ def boundary_zero_chain(sub: Subdivision, chain: EulerChain) -> dict[int, int]:
     return {v: c for v, c in out.items() if c}
 
 
-def as_edge_chain(sub: Subdivision, chain: EulerChain) -> dict[Cell, int]:
-    """Rewrite segments as a chain on the subdivision's oriented edges."""
-    out: dict[Cell, int] = {}
-    for a, b, m in chain.segments:
-        va, vb = sub.barycenter_of.get(a), sub.barycenter_of.get(b)
-        if va is None or vb is None:
-            raise ValueError(f"segment {a} -> {b} is not in this subdivision")
-        edge = (va, vb) if va < vb else (vb, va)
-        if edge not in sub.complex:
-            raise ValueError(f"{a} -> {b} is not an edge of the subdivision")
-        out[edge] = out.get(edge, 0) + (m if edge == (va, vb) else -m)
-    return {e: v for e, v in out.items() if v}
-
-
 def homologous(X: SimplicialComplex, xi: EulerChain, eta: EulerChain) -> bool:
     """Whether two chains with equal boundary differ by a boundary.
 
@@ -172,10 +155,9 @@ def homologous(X: SimplicialComplex, xi: EulerChain, eta: EulerChain) -> bool:
     approximation of the identity sd(X) -> X, so it inverts the subdivision
     isomorphism on integral H_1, torsion included. A segment a -> b with
     multiplicity m maps to m times the edge [max a, max b] of X and
-    vanishes when the two maxima agree. The image is classified in H_1(X);
-    the chains are homologous exactly when that class vanishes. Raises
-    ValueError when a segment's cell is not in X or xi - eta is not a
-    cycle.
+    vanishes when the two maxima agree. The chains are homologous exactly
+    when the image is an integer boundary in X. Raises ValueError when a
+    segment's cell is not in X or xi - eta is not a cycle.
     """
     diff = xi - eta
     image: dict[Cell, int] = {}
@@ -190,7 +172,14 @@ def homologous(X: SimplicialComplex, xi: EulerChain, eta: EulerChain) -> bool:
     image = {e: v for e, v in image.items() if v}
     if not image:
         return True
-    return cycle_class(chain_complex(X), 1, image).is_trivial
+    # d_2 of X from the cell index: a row per edge, a column per triangle
+    _, id_of, faces, _ = X.index()
+    n0, n1, n2 = (len(X.cells(k)) for k in range(3))
+    rows: list[dict[int, int]] = [{} for _ in range(n1)]
+    for j in range(n2):
+        for pos, e in enumerate(faces[n0 + n1 + j]):
+            rows[e - n0][j] = -1 if pos % 2 else 1
+    return in_column_span(rows, n2, {id_of[e] - n0: v for e, v in image.items()})
 
 
 def reroute_along_vpath(

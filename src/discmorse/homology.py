@@ -269,6 +269,18 @@ def _smith(rows: list[dict[int, int]], n_cols: int, transforms: bool) -> SmithNo
     )
 
 
+def in_column_span(rows: list[dict[int, int]], n_cols: int, z: Mapping[int, int]) -> bool:
+    """Whether z (row -> entry) is an integer combination of the columns
+    of the matrix with these sparse rows, which are consumed. It is when
+    appending z keeps the invariant factors: a larger column lattice has a
+    larger rank or a smaller index in its saturation, their product."""
+    s = _smith([dict(row) for row in rows], n_cols, transforms=False)
+    for i, v in z.items():
+        if v:
+            rows[i][n_cols] = v
+    return s.factors == _smith(rows, n_cols + 1, transforms=False).factors
+
+
 def integer_determinant(M: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(M)

@@ -8,6 +8,7 @@ and all other edges pointing down.
 
 from __future__ import annotations
 
+import heapq
 import random
 from typing import Iterable, Iterator, NamedTuple
 
@@ -18,38 +19,35 @@ Pair = tuple[Cell, Cell]
 
 
 class HasseDiagram:
-    """The cover graph of the face poset: one edge per codimension-1 pair."""
+    """The cover graph of the face poset: one edge per codimension-1 pair,
+    as a view on the complex's cell index."""
 
     def __init__(self, X: SimplicialComplex):
         self._complex = X
-        up: dict[Cell, list[Cell]] = {c: [] for c in X.all_cells()}
-        for c in X.all_cells():
-            for f in hyperfaces(c):
-                up[f].append(c)
-        self._up = {c: tuple(sorted(v)) for c, v in up.items()}
-        self._down = {c: tuple(sorted(hyperfaces(c))) for c in X.all_cells()}
+        self._cells, self._id_of, self._faces, self._cofaces = X.index()
 
     @property
     def complex(self) -> SimplicialComplex:
         return self._complex
 
     def up(self, cell: Cell) -> tuple[Cell, ...]:
-        return self._up[cell]
+        return tuple([self._cells[j] for j in self._cofaces[self._id_of[cell]]])
 
     def down(self, cell: Cell) -> tuple[Cell, ...]:
-        return self._down[cell]
+        return tuple([self._cells[j] for j in reversed(self._faces[self._id_of[cell]])])
 
     def has_edge(self, sigma: Cell, tau: Cell) -> bool:
-        return sigma in self._down.get(tau, ())
+        t = self._id_of.get(tau)
+        return t is not None and self._id_of.get(sigma) in self._faces[t]
 
     def vertices(self) -> Iterator[Cell]:
-        return self._complex.all_cells()
+        return iter(self._cells)
 
     def edges(self) -> Iterator[Pair]:
         """All (face, coface) edges, ordered by lower cell then upper cell."""
-        for sigma in self._complex.all_cells():
-            for tau in self._up[sigma]:
-                yield (sigma, tau)
+        for sigma, ups in zip(self._cells, self._cofaces):
+            for j in ups:
+                yield (sigma, self._cells[j])
 
     @property
     def n_vertices(self) -> int:
@@ -57,7 +55,7 @@ class HasseDiagram:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(v) for v in self._up.values())
+        return sum(map(len, self._faces))
 
 
 def hasse(X: SimplicialComplex) -> HasseDiagram:
@@ -73,28 +71,22 @@ class Matching:
     """
 
     def __init__(self, pairs: Iterable[Pair]):
-        seen: dict[Cell, Pair] = {}
         up: dict[Cell, Cell] = {}
         down: dict[Cell, Cell] = {}
-        canon: set[Pair] = set()
         for sigma, tau in pairs:
             if len(tau) != len(sigma) + 1 or not set(sigma) < set(tau):
                 raise MatchingError(f"{sigma} is not a codimension-1 face of {tau}")
-            pair = (sigma, tau)
-            if pair in canon:
+            if up.get(sigma) == tau:
                 continue
-            for cell in pair:
-                if cell in seen:
+            for cell in (sigma, tau):
+                if cell in up or cell in down:
+                    held = (cell, up[cell]) if cell in up else (down[cell], cell)
                     raise MatchingError(
-                        f"cell {cell} covered by both {seen[cell]} and {pair}",
-                        cell=cell,
+                        f"cell {cell} covered by both {held} and {(sigma, tau)}", cell=cell
                     )
-                seen[cell] = pair
-            canon.add(pair)
             up[sigma] = tau
             down[tau] = sigma
-        self._pairs = frozenset(canon)
-        self._up = up
+        self._up = up  # the pairs, face -> coface
         self._down = down
 
     def v(self, sigma: Cell) -> Cell | None:
@@ -109,33 +101,33 @@ class Matching:
         return cell in self._up or cell in self._down
 
     def pairs(self) -> tuple[Pair, ...]:
-        return tuple(sorted(self._pairs))
+        return tuple(sorted(self._up.items()))
 
     def remove(self, edge: Pair) -> "Matching":
         """The matching without one pair. Submatchings of Morse stay Morse."""
-        if edge not in self._pairs:
+        if edge not in self:
             raise ValueError(f"edge {edge} is not in the matching")
-        return Matching(self._pairs - {edge})
+        return Matching(p for p in self._up.items() if p != edge)
 
     def __contains__(self, edge: object) -> bool:
-        return edge in self._pairs
+        return edge in self._up.items()
 
     def __iter__(self) -> Iterator[Pair]:
         return iter(self.pairs())
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._up)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
             return NotImplemented
-        return self._pairs == other._pairs
+        return self._up == other._up
 
     def __hash__(self) -> int:
-        return hash(self._pairs)
+        return hash(frozenset(self._up.items()))
 
     def __repr__(self) -> str:
-        return f"Matching({len(self._pairs)} pairs)"
+        return f"Matching({len(self._up)} pairs)"
 
 
 class ValidationReport(NamedTuple):
@@ -149,21 +141,14 @@ def validate_matching(H: HasseDiagram, pairs: Iterable[Pair]) -> ValidationRepor
     Reports the first missing edge or the first pair of edges sharing a
     cell; accepts any iterable of (face, coface) pairs, not just Matching.
     """
-    seen: dict[Cell, Pair] = {}
-    checked: set[Pair] = set()
-    for sigma, tau in pairs:
-        pair = (sigma, tau)
-        if not H.has_edge(sigma, tau):
-            return ValidationReport(False, f"{sigma} -> {tau} is not a Hasse edge")
-        if pair in checked:
-            continue
-        for cell in pair:
-            if cell in seen:
-                return ValidationReport(
-                    False, f"cell {cell} covered by both {seen[cell]} and {pair}"
-                )
-            seen[cell] = pair
-        checked.add(pair)
+    pairs = list(pairs)
+    n = next((i for i, (s, t) in enumerate(pairs) if not H.has_edge(s, t)), len(pairs))
+    try:
+        Matching(pairs[:n])  # the edges before the first non-edge
+    except MatchingError as exc:
+        return ValidationReport(False, str(exc))
+    if n < len(pairs):
+        return ValidationReport(False, f"{pairs[n][0]} -> {pairs[n][1]} is not a Hasse edge")
     return ValidationReport(True, None)
 
 
@@ -174,14 +159,14 @@ def critical_cells(X: SimplicialComplex, M: Matching) -> dict[int, tuple[Cell, .
     }
 
 
-def _successors(H: HasseDiagram, M: Matching, cell: Cell) -> list[Cell]:
-    # arcs of the matched Hasse digraph: matched edges up, the rest down
-    out = []
-    up = M.v(cell)
-    if up is not None:
-        out.append(up)
-    out.extend(f for f in H.down(cell) if M.v(f) != cell)
-    return out
+def _field(id_of: dict[Cell, int], M: Matching) -> list[int]:
+    """M on cell ids: the id of the matched coface, -2 for the upper cell
+    of a pair, -1 for a critical cell."""
+    v = [-1] * len(id_of)
+    for sigma, tau in M._up.items():
+        v[id_of[sigma]] = id_of[tau]
+        v[id_of[tau]] = -2
+    return v
 
 
 def is_morse(H: HasseDiagram, M: Matching) -> bool:
@@ -195,34 +180,30 @@ def closed_vpath(H: HasseDiagram, M: Matching) -> tuple[Cell, ...] | None:
     A cycle of the matched Hasse digraph alternates between dimensions k
     and k+1, so its k-cells in stack order, closed up, are a V-path.
     """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[Cell, int] = {}
-    for start in H.vertices():
-        if color.get(start, WHITE) != WHITE:
-            continue
-        stack: list[tuple[Cell, Iterator[Cell]]] = [
-            (start, iter(_successors(H, M, start)))
-        ]
-        color[start] = GRAY
+    cells, faces, v = H._cells, H._faces, _field(H._id_of, M)
+    color = bytearray(len(cells))  # 0 unseen, 1 on the stack, 2 done
+    for start in range(len(cells)):
+        path: list[int] = []
+        stack = [iter((start,))]  # stack[i + 1] iterates the arcs out of path[i]
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, WHITE)
-                if c == GRAY:
-                    cycle = [cell for cell, _ in stack]
-                    cycle = cycle[cycle.index(nxt):]
-                    low = min(len(cell) for cell in cycle)
-                    path = tuple(cell for cell in cycle if len(cell) == low)
-                    return path + path[:1]
-                if c == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(_successors(H, M, nxt))))
-                    advanced = True
+            for nxt in stack[-1]:
+                if color[nxt] == 1:
+                    cycle = [cells[c] for c in path[path.index(nxt):]]
+                    low = min(map(len, cycle))
+                    vpath = tuple(c for c in cycle if len(c) == low)
+                    return vpath + vpath[:1]
+                if color[nxt] == 0:
+                    color[nxt] = 1
+                    path.append(nxt)
+                    # the matched edge up, then the other edges down in
+                    # sorted(hyperfaces) order, i.e. ascending ids
+                    down = [f for f in reversed(faces[nxt]) if v[f] != nxt]
+                    stack.append(iter([v[nxt]] + down if v[nxt] >= 0 else down))
                     break
-            if not advanced:
-                color[node] = BLACK
+            else:
                 stack.pop()
+                if path:
+                    color[path.pop()] = 2
     return None
 
 
@@ -260,90 +241,85 @@ def _steps(M: Matching, sigma: Cell) -> Iterator[Cell]:
     return iter(() if tau is None else [c for c in hyperfaces(tau) if c != sigma])
 
 
-def _collapse_engine(
-    X: SimplicialComplex,
-    keep: frozenset[Cell],
-    choose_pair,
-    choose_top,
-) -> Matching | None:
-    """Shared removal loop: take free pairs while possible, else consult
-    choose_top for a coface-free cell to discard as critical (None = give up).
+def _collapse_engine(X: SimplicialComplex, keep: frozenset[Cell], pick) -> Matching | None:
+    """Shared removal loop on cell ids, down to the subcomplex keep: take a
+    free pair while one exists, else discard a coface-free cell as critical.
 
+    pick(n) draws which of n candidates to try next. Without pick the free
+    pair with the smallest lower id is taken and nothing is discarded, so
+    getting stuck gives None. Candidates start in sorted(cell) order, are
+    added in hyperfaces order, and stale ones are dropped on contact.
     Removal times strictly increase along V-paths of the collected pairs,
     so the result is always a Morse matching.
     """
-    current = set(X.all_cells()) - keep
-    count = {c: 0 for c in current}
-    up: dict[Cell, list[Cell]] = {c: [] for c in current}
-    for c in current:
-        for f in hyperfaces(c):
-            if f in count:
-                count[f] += 1
-                up[f].append(c)
-    free: list[Cell] = sorted(c for c, n in count.items() if n == 1)
-    tops: list[Cell] = sorted(c for c, n in count.items() if n == 0)
+    cells, id_of, faces, cofaces = X.index()
+    alive = bytearray([1]) * len(cells)
+    for c in keep:
+        alive[id_of[c]] = 0
+    left = len(cells) - len(keep)
+    count = [len(ups) for ups in cofaces]  # a live cell's cofaces are all live
+    free = sorted((c for c, n in enumerate(count) if n == 1 and alive[c]), key=cells.__getitem__)
+    tops = sorted((c for c, n in enumerate(count) if n == 0 and alive[c]), key=cells.__getitem__)
+    heap: list[int] = []
     pairs: list[Pair] = []
 
-    def remove_cell(c: Cell) -> None:
-        current.discard(c)
-        for f in hyperfaces(c):
-            if f in current:
+    def remove_cell(c: int) -> None:
+        alive[c] = 0
+        for f in faces[c]:
+            if alive[f]:
                 count[f] -= 1
                 if count[f] == 1:
                     free.append(f)
                 elif count[f] == 0:
                     tops.append(f)
 
-    while current:
-        sigma = choose_pair(free, current, count)
+    def take(cands: list[int], want: int) -> int | None:
+        while cands:
+            i = pick(len(cands))
+            c = cands[i]
+            if alive[c] and count[c] == want:
+                del cands[i]
+                return c
+            cands[i] = cands[-1]
+            cands.pop()
+        return None
+
+    def smallest_free() -> int | None:
+        while free:
+            heapq.heappush(heap, free.pop())
+        while heap:
+            c = heapq.heappop(heap)
+            if alive[c] and count[c] == 1:  # a stale cell never turns live again
+                return c
+        return None
+
+    while left:
+        sigma = take(free, 1) if pick else smallest_free()
         if sigma is not None:
-            tau = next(c for c in up[sigma] if c in current)
-            pairs.append((sigma, tau))
+            tau = next(t for t in cofaces[sigma] if alive[t])
+            pairs.append((cells[sigma], cells[tau]))
             remove_cell(tau)
             remove_cell(sigma)
+            left -= 2
             continue
-        top = choose_top(tops, current, count)
+        top = take(tops, 0) if pick else None
         if top is None:
             return None
         remove_cell(top)
+        left -= 1
     return Matching(pairs)
-
-
-def _pop_valid(cands: list[Cell], current: set, count: dict, want: int, pick) -> Cell | None:
-    # candidates are kept lazily; stale entries are discarded on contact
-    while cands:
-        i = pick(len(cands))
-        c = cands[i]
-        if c in current and count[c] == want:
-            del cands[i]
-            return c
-        cands[i] = cands[-1]
-        cands.pop()
-    return None
 
 
 def find_collapse(X: SimplicialComplex, X0: SimplicialComplex) -> Matching | None:
     """Greedy collapse of X onto the subcomplex X0.
 
     Repeatedly removes the free pair with the lexicographically smallest
-    lower cell (dimension first); returns None when the greedy sequence
-    gets stuck before reaching X0.
+    lower cell (dimension first), i.e. the smallest id; returns None when
+    the greedy sequence gets stuck before reaching X0.
     """
     if not X.contains_complex(X0):
         raise ValueError("X0 is not a subcomplex of X")
-
-    def smallest(free, current, count):
-        live = [c for c in free if c in current and count[c] == 1]
-        if not live:
-            return None
-        best = min(live, key=lambda c: (len(c), c))
-        free.remove(best)
-        return best
-
-    def never(tops, current, count):
-        return None
-
-    return _collapse_engine(X, frozenset(X0.all_cells()), smallest, never)
+    return _collapse_engine(X, frozenset(X0.all_cells()), None)
 
 
 def random_morse_matching(
@@ -356,17 +332,8 @@ def random_morse_matching(
     kept with that probability, which stays Morse and varies the critical
     set.
     """
-
-    def rand_pair(free, current, count):
-        return _pop_valid(free, current, count, 1, lambda n: rng.randrange(n))
-
-    def rand_top(tops, current, count):
-        c = _pop_valid(tops, current, count, 0, lambda n: rng.randrange(n))
-        if c is None:
-            raise AssertionError("no free pair and no coface-free cell")
-        return c
-
-    M = _collapse_engine(X, frozenset(), rand_pair, rand_top)
+    M = _collapse_engine(X, frozenset(), rng.randrange)
+    assert M is not None  # a live cell of top dimension is always coface-free
     if keep < 1.0:
         M = Matching(p for p in M.pairs() if rng.random() < keep)
     return M
@@ -390,37 +357,37 @@ def random_matching(X: SimplicialComplex, rng: random.Random, density: float = 0
 def greedy_morse_matching(X: SimplicialComplex) -> Matching:
     """Scan Hasse edges in (lower, upper) lexicographic order, adding every
     edge that keeps the matching disjoint and free of closed V-paths."""
-    H = hasse(X)
-    up: dict[Cell, Cell] = {}
-    down: dict[Cell, Cell] = {}
+    cells, _, faces, cofaces = X.index()
+    v = [-1] * len(cells)  # as from _field: coface id, -2 matched down, -1 free
 
-    def reaches(src: Cell, goal: Cell) -> bool:
-        # search the digraph with the candidate pair already flipped in
-        stack = [src]
-        seen = {src}
+    def reaches(tau: int, sigma: int) -> bool:
+        # a cycle through (sigma, tau) stays in their two dimensions: from a
+        # coface t down to a face f but t's partner, then up along f's pair
+        stack, seen = [tau], set()
         while stack:
-            c = stack.pop()
-            targets = []
-            t = up.get(c)
-            if t is not None:
-                targets.append(t)
-            targets.extend(f for f in H.down(c) if up.get(f) != c)
-            for nxt in targets:
-                if nxt == goal:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+            t = stack.pop()
+            for f in faces[t]:
+                u = v[f]
+                if u != t:
+                    if f == sigma:
+                        return True
+                    if u >= 0 and u not in seen:
+                        seen.add(u)
+                        stack.append(u)
         return False
 
-    for sigma, tau in H.edges():
-        if sigma in up or sigma in down or tau in up or tau in down:
-            continue
-        # adding (sigma, tau) flips the arc tau->sigma to sigma->tau, so a
-        # new cycle appears exactly when tau then reaches sigma
-        up[sigma] = tau
-        down[tau] = sigma
-        if reaches(tau, sigma):
-            del up[sigma]
-            del down[tau]
-    return Matching(up.items())
+    pairs = []
+    for sigma, ups in enumerate(cofaces):
+        for tau in ups:
+            if v[sigma] != -1:
+                break
+            if v[tau] == -1:
+                # adding (sigma, tau) flips the arc tau->sigma to sigma->tau,
+                # so a new cycle appears exactly when tau then reaches sigma
+                v[sigma] = tau
+                if reaches(tau, sigma):
+                    v[sigma] = -1
+                else:
+                    v[tau] = -2
+                    pairs.append((cells[sigma], cells[tau]))
+    return Matching(pairs)

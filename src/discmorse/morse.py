@@ -17,7 +17,9 @@ from .chains import ChainComplex
 from .complexes import Cell, Orientation, SimplicialComplex, hyperfaces, incidence
 from .errors import NotMorseError
 from .homology import HomologySummary, homology
-from .matchings import Matching, critical_cells, hasse, is_morse, random_morse_matching
+from .matchings import (
+    Matching, _field, _steps, critical_cells, hasse, is_morse, random_morse_matching
+)
 
 
 @dataclass(frozen=True)
@@ -95,13 +97,7 @@ def vpaths(
     found: list[VPath] = []
     path: list[Cell] = [start]
 
-    def extensions(c: Cell) -> list[Cell]:
-        tau = M.v(c)
-        if tau is None:
-            return []
-        return [f for f in hyperfaces(tau) if f != c]
-
-    stack = [iter(extensions(start))]
+    stack = [_steps(M, start)]
     if start == end:
         found.append(VPath((start,)))
     while stack:
@@ -113,37 +109,38 @@ def vpaths(
         path.append(nxt)
         if nxt == end:
             found.append(VPath(tuple(path)))
-        stack.append(iter(extensions(nxt)))
+        stack.append(_steps(M, nxt))
     return found
 
 
 def _signed_counts(
-    X: SimplicialComplex,
-    M: Matching,
-    starts: Iterable[Cell],
-    orientation: Orientation | None,
-) -> dict[Cell, dict[Cell, int]]:
-    """For each start cell, the map critical cell -> signed number of
-    V-paths from the start to it. Memoized over the acyclic V-digraph."""
-    memo: dict[Cell, dict[Cell, int]] = {}
+    faces: tuple[tuple[int, ...], ...], v: list[int], starts: Iterable[int]
+) -> dict[int, dict[int, int]]:
+    """For each start cell id, the map critical cell id -> signed number of
+    V-paths from it, canonically oriented (flips multiply a count by the
+    signs of its two ends only); v is M as ``matchings._field`` gives it.
+    Memoized over the acyclic V-digraph."""
+    memo: dict[int, dict[int, int]] = {}
+    nothing: dict[int, int] = {}  # shared by the cells matched downward
     work = [(s, False) for s in starts]
     while work:
         c, expanded = work.pop()
         if not expanded and c in memo:
             continue
-        tau = M.v(c)
-        if tau is None:
-            memo[c] = {c: 1} if not M.covers(c) else {}
+        tau = v[c]
+        if tau < 0:
+            memo[c] = {c: 1} if tau == -1 else nothing
             continue
-        succs = [f for f in hyperfaces(tau) if f != c]
         if not expanded:
             work.append((c, True))
-            work.extend((s, False) for s in succs if s not in memo)
+            work.extend((s, False) for s in faces[tau] if s != c and s not in memo)
             continue
-        total: dict[Cell, int] = {}
-        sign_c = -incidence(tau, c, orientation)
-        for s in succs:
-            step = sign_c * incidence(tau, s, orientation)
+        total: dict[int, int] = {}
+        i = faces[tau].index(c)
+        for j, s in enumerate(faces[tau]):
+            if j == i:
+                continue
+            step = 1 if (i + j) % 2 else -1  # -<d tau, c> * <d tau, s>
             for crit, n in memo[s].items():
                 total[crit] = total.get(crit, 0) + step * n
         memo[c] = {crit: n for crit, n in total.items() if n}
@@ -162,7 +159,11 @@ def path_counts_signed(
         raise ValueError("sigma_tilde must be a cell of X")
     if not is_morse(hasse(X), M):
         raise NotMorseError("matching has a closed V-path")
-    return dict(_signed_counts(X, M, [sigma_tilde], orientation)[sigma_tilde])
+    index, o = X.index(), orientation or {}
+    start = index.id_of[sigma_tilde]
+    counts = _signed_counts(index.faces, _field(index.id_of, M), [start])[start]
+    sign = o.get(sigma_tilde, 1)
+    return {index.cells[c]: sign * o.get(index.cells[c], 1) * n for c, n in counts.items()}
 
 
 def differential_entry(
@@ -221,17 +222,22 @@ def _thom_smale(
     that have just decided on the same X that M is Morse."""
     crit = critical_cells(X, M)
     bases = {k: crit.get(k, ()) for k in range(X.dim + 1)}
+    cells, id_of, faces, _ = X.index()
+    o, v = orientation or {}, _field(id_of, M)
     boundaries: dict[int, dict[Cell, dict[Cell, int]]] = {}
     for k in range(1, X.dim + 1):
-        starts = sorted({s for tau in bases[k] for s in hyperfaces(tau)})
-        counts = _signed_counts(X, M, starts, orientation)
+        taus = [id_of[tau] for tau in bases[k]]
+        counts = _signed_counts(faces, v, sorted({s for t in taus for s in faces[t]}))
         boundaries[k] = {}
-        for tau in bases[k]:
-            acc = boundaries[k][tau] = {}
-            for s in hyperfaces(tau):
-                inc = incidence(tau, s, orientation)
-                for crit_cell, n in counts[s].items():
-                    acc[crit_cell] = acc.get(crit_cell, 0) + inc * n
+        for t in taus:
+            acc: dict[int, int] = {}
+            for j, s in enumerate(faces[t]):  # <d t, s> = (-1)**j
+                for crit, n in counts[s].items():
+                    acc[crit] = acc.get(crit, 0) + (-n if j % 2 else n)
+            sign = o.get(cells[t], 1)
+            boundaries[k][cells[t]] = {
+                cells[c]: sign * o.get(cells[c], 1) * n for c, n in acc.items()
+            }
     return MorseComplex(bases, boundaries, complex=X, matching=M)
 
 

@@ -10,6 +10,7 @@ from discmorse.elimination import eliminate_sequence
 from discmorse.homology import homology
 from discmorse.matchings import random_morse_matching
 from discmorse.morse import reorient, simplicial_homology, thom_smale_complex
+from strategies import small_complexes
 
 
 def triangle():
@@ -97,12 +98,6 @@ def test_equality_is_by_bases_and_matrices():
     C = ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: {"e": {"a": 1, "b": -1}}})
     assert A == B
     assert A != C
-
-
-# complexes with facets on at most 7 vertices and of dimension at most 3
-small_complexes = st.lists(
-    st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=6
-).map(SimplicialComplex.from_facets)
 
 
 @st.composite

@@ -3,17 +3,16 @@ import itertools
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from discmorse import corpus
 from discmorse.chains import chain_complex
-from discmorse.complexes import SimplicialComplex, barycentric_subdivision
+from discmorse.complexes import Cell, SimplicialComplex, Subdivision, barycentric_subdivision
 from discmorse.errors import MatchingError
 from discmorse.homology import cycle_class
 from discmorse.euler import (
     EulerChain,
-    as_edge_chain,
     boundary_zero_chain,
     complete_matching,
     cone_rewire,
@@ -22,6 +21,7 @@ from discmorse.euler import (
     reroute_along_vpath,
 )
 from discmorse.matchings import Matching, hasse
+from strategies import euler_zero_complexes
 
 
 def circle():
@@ -119,6 +119,20 @@ def test_boundary_zero_chain_lands_on_barycenters():
         sub.barycenter_of[c]: (1 if len(c) % 2 == 1 else -1)
         for c in X.all_cells()
     }
+
+
+def as_edge_chain(sub: Subdivision, chain: EulerChain) -> dict[Cell, int]:
+    """Rewrite segments as a chain on the subdivision's oriented edges."""
+    out: dict[Cell, int] = {}
+    for a, b, m in chain.segments:
+        va, vb = sub.barycenter_of.get(a), sub.barycenter_of.get(b)
+        if va is None or vb is None:
+            raise ValueError(f"segment {a} -> {b} is not in this subdivision")
+        edge = (va, vb) if va < vb else (vb, va)
+        if edge not in sub.complex:
+            raise ValueError(f"{a} -> {b} is not an edge of the subdivision")
+        out[edge] = out.get(edge, 0) + (m if edge == (va, vb) else -m)
+    return {e: v for e, v in out.items() if v}
 
 
 def test_as_edge_chain_checks_membership():
@@ -335,3 +349,25 @@ def cycle_pairs(draw):
 def test_homologous_agrees_with_the_subdivision_oracle(case):
     X, xi, eta = case
     assert homologous(X, xi, eta) == homologous_on_subdivision(X, xi, eta)
+
+
+# --- the boundary identity on random complete matchings ---
+
+
+@settings(max_examples=60, deadline=None)
+@given(euler_zero_complexes)
+def test_euler_chain_boundary_identity_on_random_complete_matchings(X):
+    """d xi = sum (-1)^dim(sigma) b_sigma, computed on the subdivision's own
+    edges, for the complete matching of a random complex with chi = 0."""
+    assert X.euler_characteristic() == 0
+    M = complete_matching(hasse(X))
+    assume(M is not None)
+    xi = euler_chain_from_matching(X, M)
+    sub = barycentric_subdivision(X)
+    want = {sub.barycenter_of[c]: (-1) ** (len(c) - 1) for c in X.all_cells()}
+    assert boundary_zero_chain(sub, xi) == want
+    d: dict = {}
+    for (a, b), m in as_edge_chain(sub, xi).items():  # d[a, b] = b - a
+        d[b] = d.get(b, 0) + m
+        d[a] = d.get(a, 0) - m
+    assert {v: m for v, m in d.items() if m} == want

@@ -10,6 +10,7 @@ from discmorse.homology import (
     HomologySummary,
     cycle_class,
     homology,
+    in_column_span,
     integer_determinant,
     smith_normal_form,
     snf_is_valid,
@@ -91,6 +92,38 @@ def test_snf_without_transforms_has_no_matrices():
     assert s.diagonal == (2,)
     with pytest.raises(ValueError):
         snf_is_valid([[4, 2]], s)
+
+
+def _sparse_rows(A):
+    return [{j: v for j, v in enumerate(row) if v} for row in A]
+
+
+def test_in_column_span_small_cases():
+    assert in_column_span(_sparse_rows([[2]]), 1, {0: 4})
+    assert not in_column_span(_sparse_rows([[2]]), 1, {0: 3})
+    assert not in_column_span(_sparse_rows([[2, 0], [0, 0]]), 2, {1: 1})
+    assert in_column_span(_sparse_rows([[2, 3], [0, 0]]), 2, {0: 1})
+    assert in_column_span(_sparse_rows([[0], [0]]), 1, {})
+    assert not in_column_span(_sparse_rows([[], []]), 0, {1: -1})
+
+
+def test_in_column_span_agrees_with_the_row_transform():
+    # z = A x exactly when U z is divisible by the diagonal and vanishes past the rank
+    rng = random.Random(17)
+    for trial in range(120):
+        m, n = rng.randrange(1, 6), rng.randrange(0, 5)
+        A = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
+        if trial % 2:
+            x = [rng.randrange(-3, 4) for _ in range(n)]
+            z = [sum(a * b for a, b in zip(row, x)) for row in A]
+        else:
+            z = [rng.randrange(-6, 7) for _ in range(m)]
+        s = smith_normal_form(A, n_cols=n)
+        w = [sum(u * v for u, v in zip(row, z)) for row in s.U]
+        want = all(w[i] % s.diagonal[i] == 0 for i in range(s.rank)) and not any(w[s.rank:])
+        got = in_column_span(_sparse_rows(A), n, dict(enumerate(z)))
+        assert got == want, (A, z)
+        assert got or trial % 2 == 0
 
 
 def test_integer_determinant():

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from discmorse.errors import ParseError
 from discmorse.euler import EulerChain
@@ -11,7 +15,8 @@ from discmorse.io import (
     parse_complex,
     parse_matching,
 )
-from discmorse.matchings import Matching
+from discmorse.matchings import Matching, hasse, random_matching
+from strategies import small_complexes
 
 
 def test_parse_complex_numeric():
@@ -123,3 +128,50 @@ def test_format_chain_round_trip_with_multiplicities():
     again = parse_chain(text, table)
     assert again == chain
     assert format_chain(EulerChain(()), table) == ""
+
+
+# --- round trips of random objects, numeric and symbolic ---
+
+# vertex names without digits, so that a file in them is read symbolically
+names = st.lists(
+    st.text(alphabet="abcxyz_-.", min_size=1, max_size=4), min_size=7, max_size=7, unique=True
+)
+
+
+tables = st.one_of(st.just(SymbolTable()), names.map(lambda ns: SymbolTable(tuple(ns))))
+
+
+def named_cells(X, table):
+    return {frozenset(table.decode(v) for v in c) for c in X.all_cells()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_complexes, tables)
+def test_complexes_round_trip(X, table):
+    Y, table2 = parse_complex(format_complex(X, table))
+    assert named_cells(Y, table2) == named_cells(X, table)
+    assert table2.numeric == table.numeric
+    if table.numeric:
+        assert Y == X
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_complexes, tables, st.integers(0, 2**32 - 1))
+def test_matchings_round_trip(X, table, seed):
+    M = random_matching(X, random.Random(seed))
+    assert Matching(parse_matching(format_matching(M, table), table)) == M
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_complexes, tables, st.data())
+def test_chains_round_trip(X, table, data):
+    edges = list(hasse(X).edges())
+    assume(edges)
+    segments = data.draw(st.lists(
+        st.tuples(st.sampled_from(edges), st.booleans(), st.integers(-3, 3)), min_size=1
+    ))
+    chain = EulerChain.from_segments(
+        (b, a, m) if flip else (a, b, m) for (a, b), flip, m in segments
+    )
+    assume(len(chain))
+    assert parse_chain(format_chain(chain, table), table) == chain
