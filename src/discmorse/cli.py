@@ -201,6 +201,8 @@ def cmd_morse(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    if args.max_orders < 1:
+        raise ParseError(f"--max-orders must be at least 1, got {args.max_orders}")
     report = Report("reduce")
     X, table = _load_complex(args.complex, report)
     pairs = parse_matching(_read_file(args.matching, report), table)

@@ -1,9 +1,11 @@
 """Hasse diagrams of face posets and matchings on them.
 
 A matching pairs a cell with one of its codimension-1 cofaces, no cell in
-two pairs. A matching is Morse when it admits no closed V-path, which is
-the same as acyclicity of the Hasse diagram with matched edges pointing up
-and all other edges pointing down.
+two pairs. A matching is Morse when it admits no closed V-path. A closed
+V-path alternates between a k-cell and its matched (k+1)-coface, so only
+matched pairs can lie on one: the decision is one pass over the pairs
+(Kahn's algorithm on their V-digraph), and a depth-first search over the
+Hasse diagram runs only to find a witness once that pass finds a cycle.
 """
 
 from __future__ import annotations
@@ -169,18 +171,50 @@ def _field(id_of: dict[Cell, int], M: Matching) -> list[int]:
     return v
 
 
+def _acyclic(faces: tuple[tuple[int, ...], ...], v: list[int]) -> bool:
+    """True when the V-digraph of v (M as :func:`_field` gives it) has no
+    cycle, by Kahn's algorithm.
+
+    Its nodes are the cells matched upward; sigma -> s for every face s of
+    v(sigma) other than sigma that is itself matched upward. A closed
+    V-path is exactly a cycle of it, in any dimension.
+    """
+    indeg = [0] * len(v)
+    nodes = [c for c, t in enumerate(v) if t >= 0]
+    for c in nodes:
+        for s in faces[v[c]]:
+            if s != c and v[s] >= 0:
+                indeg[s] += 1
+    ready = [c for c in nodes if not indeg[c]]
+    removed = 0
+    while ready:
+        c = ready.pop()
+        removed += 1
+        for s in faces[v[c]]:
+            if s != c and v[s] >= 0:
+                indeg[s] -= 1
+                if not indeg[s]:
+                    ready.append(s)
+    return removed == len(nodes)
+
+
 def is_morse(H: HasseDiagram, M: Matching) -> bool:
-    """True when the matched Hasse digraph is acyclic (no closed V-path)."""
-    return closed_vpath(H, M) is None
+    """True when M has no closed V-path, decided by one pass over the
+    matched pairs."""
+    return _acyclic(H._faces, _field(H._id_of, M))
 
 
 def closed_vpath(H: HasseDiagram, M: Matching) -> tuple[Cell, ...] | None:
-    """A closed V-path of M, or None when M is Morse, by one linear DFS.
+    """A closed V-path of M, or None when M is Morse.
 
-    A cycle of the matched Hasse digraph alternates between dimensions k
-    and k+1, so its k-cells in stack order, closed up, are a V-path.
+    The pass of :func:`is_morse` decides; only when it finds a cycle does
+    a linear DFS over the matched Hasse digraph look for the witness. A
+    cycle of that digraph alternates between dimensions k and k+1, so its
+    k-cells in stack order, closed up, are a V-path.
     """
     cells, faces, v = H._cells, H._faces, _field(H._id_of, M)
+    if _acyclic(faces, v):
+        return None
     color = bytearray(len(cells))  # 0 unseen, 1 on the stack, 2 done
     for start in range(len(cells)):
         path: list[int] = []

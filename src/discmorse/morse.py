@@ -18,7 +18,7 @@ from .complexes import Cell, Orientation, SimplicialComplex, hyperfaces, inciden
 from .errors import NotMorseError
 from .homology import HomologySummary, homology
 from .matchings import (
-    Matching, _field, _steps, critical_cells, hasse, is_morse, random_morse_matching
+    Matching, _acyclic, _field, _steps, critical_cells, hasse, is_morse, random_morse_matching
 )
 
 
@@ -210,20 +210,28 @@ def thom_smale_complex(
     the matching is not Morse or the resulting boundaries do not square to
     zero.
     """
-    if not is_morse(hasse(X), M):
+    _, id_of, faces, _ = X.index()
+    v = _field(id_of, M)
+    if not _acyclic(faces, v):
         raise NotMorseError("matching has a closed V-path")
-    return _thom_smale(X, M, orientation)
+    return _thom_smale(X, M, orientation, v)
 
 
 def _thom_smale(
-    X: SimplicialComplex, M: Matching, orientation: Orientation | None = None
+    X: SimplicialComplex,
+    M: Matching,
+    orientation: Orientation | None = None,
+    v: list[int] | None = None,
 ) -> MorseComplex:
     """:func:`thom_smale_complex` without its acyclicity check, for callers
-    that have just decided on the same X that M is Morse."""
+    that have just decided on the same X that M is Morse; v is M as
+    ``matchings._field`` gives it, built here when not passed."""
     crit = critical_cells(X, M)
     bases = {k: crit.get(k, ()) for k in range(X.dim + 1)}
     cells, id_of, faces, _ = X.index()
-    o, v = orientation or {}, _field(id_of, M)
+    o = orientation or {}
+    if v is None:
+        v = _field(id_of, M)
     boundaries: dict[int, dict[Cell, dict[Cell, int]]] = {}
     for k in range(1, X.dim + 1):
         taus = [id_of[tau] for tau in bases[k]]

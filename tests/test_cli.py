@@ -162,6 +162,17 @@ def test_reduce_all_orders(tmp_path, capsys):
     assert "matches_thom_smale: True\n" in out
 
 
+def test_reduce_refuses_max_orders_below_one(tmp_path, capsys):
+    cx = write(tmp_path, "circle.facets", CIRCLE)
+    mt = write(tmp_path, "m.matching", "0 ; 0 1\n1 ; 1 2\n")
+    for bad in ("0", "-5"):
+        code, out, err = run(
+            capsys, ["reduce", cx, "--matching", mt, "--all-orders", "--max-orders", bad]
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --max-orders must be at least 1, got {bad}\n"
+
+
 def test_euler_finds_a_complete_matching(tmp_path, capsys):
     cx = write(tmp_path, "circle.facets", CIRCLE)
     code, out, _ = run(capsys, ["euler", cx])

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discmorse.chains import chain_complex
 from discmorse.complexes import SimplicialComplex, product_triangulation
@@ -20,6 +22,7 @@ from discmorse.matchings import (
     random_morse_matching,
     validate_matching,
 )
+from strategies import small_complexes
 
 
 def circle():
@@ -179,6 +182,19 @@ def test_closed_vpath_witness_agrees_with_the_oracle():
                 assert is_closed_vpath(M, w), (M.pairs(), w)
                 found += 1
     assert found > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes, st.integers(0, 2**32 - 1), st.sampled_from((0.4, 0.7, 1.0)))
+def test_is_morse_and_witness_agree_with_the_oracle_up_to_dimension_3(X, seed, density):
+    M = random_matching(X, random.Random(seed), density=density)
+    H = hasse(X)
+    morse = find_closed_vpath(X, M) is None
+    assert is_morse(H, M) == morse
+    w = closed_vpath(H, M)
+    assert (w is None) == morse
+    if w is not None:
+        assert is_closed_vpath(M, w), (M.pairs(), w)
 
 
 def test_bruteforce_oracle_matches_is_morse_on_random_matchings():

@@ -12,7 +12,7 @@ from discmorse.complexes import (
 )
 from discmorse.errors import NotMorseError
 from discmorse.homology import homology
-from discmorse.matchings import Matching, random_morse_matching
+from discmorse.matchings import Matching, closed_vpath, hasse, is_morse, random_morse_matching
 from discmorse.morse import (
     VPath,
     differential_entry,
@@ -170,6 +170,36 @@ def test_thom_smale_rejects_non_morse_matchings():
     cyc = Matching([((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))])
     with pytest.raises(NotMorseError):
         thom_smale_complex(circle(), cyc)
+
+
+# closed V-paths above the vertices, with acyclic vertex-edge pairs: on the
+# boundary of the tetrahedron the edges at vertex 0 run 01 -> 03 -> 02 -> 01
+# through their matched triangles; on three tetrahedra around the edge 01
+# the triangles run 012 -> 013 -> 014 -> 012 through theirs
+@pytest.mark.parametrize(
+    "facets, cycle",
+    [
+        (
+            list(itertools.combinations(range(4), 3)),
+            [((0, 1), (0, 1, 3)), ((0, 3), (0, 2, 3)), ((0, 2), (0, 1, 2))],
+        ),
+        (
+            [(0, 1, 2, 3), (0, 1, 3, 4), (0, 1, 2, 4)],
+            [((0, 1, 2), (0, 1, 2, 3)), ((0, 1, 3), (0, 1, 3, 4)), ((0, 1, 4), (0, 1, 2, 4))],
+        ),
+    ],
+    ids=["edges", "triangles"],
+)
+def test_thom_smale_rejects_closed_vpaths_above_the_vertices(facets, cycle):
+    X = SimplicialComplex.from_facets(facets)
+    low = Matching([((1,), (1, 2)), ((2,), (2, 3))])
+    M = Matching(low.pairs() + tuple(cycle))
+    H = hasse(X)
+    assert is_morse(H, low)
+    assert not is_morse(H, M)
+    assert set(closed_vpath(H, M)) == {sigma for sigma, _ in cycle}
+    with pytest.raises(NotMorseError):
+        thom_smale_complex(X, M)
 
 
 def test_thom_smale_preserves_homology_on_random_matchings():
