@@ -10,6 +10,7 @@ exit nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -48,6 +49,16 @@ from .matchings import (
 )
 from .morse import _thom_smale, simplicial_homology
 
+# the interpreter's own SHA-256; hashlib would also map OpenSSL's libcrypto
+# (3-4 MiB resident), as CPython's random.py avoids for sha512
+try:
+    from _sha2 import sha256 as _sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 
 class Report:
     """Ordered key/value results plus input digests and warnings."""
@@ -59,8 +70,7 @@ class Report:
         self.warnings: list[str] = []
 
     def add_input(self, path: str, data: bytes) -> None:
-        import hashlib  # here: it loads OpenSSL, 3-4 MiB only file inputs need
-        self.inputs[path] = hashlib.sha256(data).hexdigest()
+        self.inputs[path] = _sha256(data).hexdigest()
 
     def put(self, key: str, value: Any) -> None:
         self.results[key] = value
@@ -112,7 +122,12 @@ def _read_file(path: str, report: Report) -> str:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     report.add_input(path, data)
-    return data.decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot decode {path} as UTF-8: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 def _load_complex(path: str, report: Report) -> tuple[SimplicialComplex, SymbolTable]:
@@ -232,7 +247,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         return 0
 
     order = list(pairs)
-    if args.order:
+    if args.order is not None:
         try:
             idx = [int(t) for t in args.order.split(",")]
         except ValueError:
@@ -352,6 +367,7 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the six subcommands."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled orders")
@@ -407,9 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs more than most subcommands (every argument
+# makes a HelpFormatter); parse_args leaves it unchanged, so a process
+# that calls main repeatedly builds it once.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

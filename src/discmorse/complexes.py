@@ -101,6 +101,10 @@ class SimplicialComplex:
             for f in hyperfaces(c):
                 if f not in canon:
                     raise ValueError(f"not closed under faces: {c} present, {f} missing")
+        self._fill(canon)
+
+    def _fill(self, canon: set[Cell]) -> None:
+        """Set the fields from canonical cells already closed under faces."""
         by_dim: dict[int, list[Cell]] = {}
         for c in canon:
             by_dim.setdefault(len(c) - 1, []).append(c)
@@ -129,7 +133,11 @@ class SimplicialComplex:
                 closed.update(itertools.combinations(c, r))
         if not closed:
             raise ValueError("at least one facet is required")
-        return cls(closed)
+        # faces of canonical cells are canonical, and the closure is closed
+        # under faces: the constructor's checks would pass on every cell
+        X = cls.__new__(cls)
+        X._fill(closed)
+        return X
 
     @property
     def dim(self) -> int:

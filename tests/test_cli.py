@@ -1,10 +1,11 @@
+import hashlib
 import json
 import time
 from importlib import resources
 
 import pytest
 
-from discmorse import corpus
+from discmorse import cli, corpus
 from discmorse.chains import chain_complex
 from discmorse.cli import main
 from discmorse.homology import homology
@@ -21,7 +22,10 @@ def write(tmp_path, name, text):
 
 
 def run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse help and usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -149,6 +153,15 @@ def test_reduce_respects_order_and_reports_failures(tmp_path, capsys):
 
     code, _, err = run(capsys, ["reduce", cx, "--matching", mt, "--order", "0,0"])
     assert code == 2 and "error:" in err
+
+
+def test_reduce_refuses_an_empty_order(tmp_path, capsys):
+    cx = write(tmp_path, "circle.facets", CIRCLE)
+    mt = write(tmp_path, "m.matching", "0 ; 0 1\n1 ; 1 2\n")
+    for order in ("", " "):
+        code, out, err = run(capsys, ["reduce", cx, "--matching", mt, "--order", order])
+        assert code == 2 and out == ""
+        assert err == f"error: --order wants comma-separated indices, got {order!r}\n"
 
 
 def test_reduce_all_orders(tmp_path, capsys):
@@ -318,3 +331,71 @@ def test_malformed_facets_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, ["homology", path])
     assert code == 2
     assert "error:" in err and "line 1" in err
+
+
+def test_undecodable_facet_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.facets"
+    path.write_bytes(b"0 1\n\xff\n")
+    code, out, err = run(capsys, ["homology", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot decode {path} as UTF-8: ")
+
+
+def test_undecodable_matching_file_exits_2(tmp_path, capsys):
+    cx = write(tmp_path, "circle.facets", CIRCLE)
+    mt = tmp_path / "bad.matching"
+    mt.write_bytes(b"0 ; 0 1\n\xff ; 1 2\n")
+    code, out, err = run(capsys, ["morse", cx, "--matching", str(mt)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot decode {mt} as UTF-8: ")
+
+
+def test_undecodable_chain_file_exits_2(tmp_path, capsys):
+    cx = write(tmp_path, "circle.facets", CIRCLE)
+    ch = tmp_path / "bad.chain"
+    ch.write_bytes(b"\xc3\n")
+    code, out, err = run(capsys, ["euler", cx, "--compare", str(ch)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot decode {ch} as UTF-8: ")
+
+
+def test_input_digest_is_the_sha256_of_the_file_bytes(tmp_path, capsys):
+    path = tmp_path / "circle.facets"
+    path.write_bytes("# cercle \u00e0 trois ar\u00eates\n".encode() + CIRCLE.encode())
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    _, out, _ = run(capsys, ["homology", str(path)])
+    assert f"input: {path} sha256 {digest}\n" in out
+    _, out, _ = run(capsys, ["homology", "--json", str(path)])
+    assert json.loads(out)["inputs"] == {str(path): digest}
+
+
+def test_repeated_calls_in_one_process_match_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    cx = write(tmp_path, "circle.facets", CIRCLE)
+    mt = write(tmp_path, "m.matching", "0 ; 0 1\n1 ; 1 2\n")
+    calls = [
+        ["morse", cx, "--matching", mt],
+        ["--help"],
+        ["morse", cx],
+        ["morse", "--help"],
+        ["reduce", cx, "--matching", mt, "--all-orders"],
+        ["reduce", cx],  # usage error: --matching is required
+        ["reduce", cx, "--matching", mt, "--order", "1,0"],
+        ["product", "2", "x"],
+        ["morse", "--json", cx],
+    ]
+    cached = [run(capsys, argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(capsys, argv) for argv in calls]
+    assert cached == fresh
+
+    (_, with_m, _), (_, help_out, _), (_, greedy, _), (_, morse_help, _) = cached[:4]
+    assert "matching_valid: True\n" in with_m and "matching_source" not in with_m
+    assert "matching_source: greedy\n" in greedy and "matching_valid" not in greedy
+    assert cached[1][0] == 0 and help_out.startswith("usage: discmorse ")
+    assert cached[3][0] == 0 and morse_help.startswith("usage: discmorse morse ")
+    assert "orders_tested: 2\n" in cached[4][1] and "steps:" not in cached[4][1]
+    assert cached[5][0] == 2 and cached[5][1] == ""
+    assert "usage: discmorse reduce" in cached[5][2] and "--matching" in cached[5][2]
+    assert "orders_tested" not in cached[6][1] and "  1 ; 1 2 ; pivot -1\n" in cached[6][1]
+    assert cached[7][0] == 2 and "invalid int value: 'x'" in cached[7][2]
+    assert json.loads(cached[8][1])["results"]["matching_source"] == "greedy"

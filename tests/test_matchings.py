@@ -22,7 +22,7 @@ from discmorse.matchings import (
     random_morse_matching,
     validate_matching,
 )
-from strategies import small_complexes
+from strategies import small_complexes, tetrahedra_rings
 
 
 def circle():
@@ -184,10 +184,18 @@ def test_closed_vpath_witness_agrees_with_the_oracle():
     assert found > 0
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_complexes, st.integers(0, 2**32 - 1), st.sampled_from((0.4, 0.7, 1.0)))
-def test_is_morse_and_witness_agree_with_the_oracle_up_to_dimension_3(X, seed, density):
-    M = random_matching(X, random.Random(seed), density=density)
+seeded_random_matchings = st.builds(
+    lambda X, seed, density: (X, random_matching(X, random.Random(seed), density=density)),
+    small_complexes,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((0.4, 0.7, 1.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(seeded_random_matchings, tetrahedra_rings()))
+def test_is_morse_and_witness_agree_with_the_oracle_up_to_dimension_3(X_and_M):
+    X, M = X_and_M
     H = hasse(X)
     morse = find_closed_vpath(X, M) is None
     assert is_morse(H, M) == morse
