@@ -19,7 +19,7 @@ The package is organized bottom-up:
 - io, corpus, cli: text formats, bundled examples, command line.
 """
 
-from .chains import ChainComplex, boundary_matrix, chain_complex
+from .chains import ChainComplex, chain_complex
 from .complexes import (
     Cell,
     SimplicialComplex,

@@ -11,18 +11,6 @@ Matrix = list[list[int]]
 Column = dict[Label, int]
 
 
-def boundary_matrix(
-    X: SimplicialComplex, k: int, orientation: Orientation | None = None
-) -> Matrix:
-    """Boundary matrix from k-chains to (k-1)-chains of X.
-
-    Rows are indexed by the (k-1)-cells, columns by the k-cells, both in
-    lexicographic order. k = 0 gives the 0 x n_0 matrix; ValueError for k
-    outside 0..dim.
-    """
-    return chain_complex(X, orientation).boundary(k)
-
-
 class ChainComplex:
     """A finitely generated free chain complex over the integers.
 

@@ -39,15 +39,15 @@ from .io import (
     parse_matching,
 )
 from .matchings import (
-    HasseDiagram,
     Matching,
+    Pair,
     closed_vpath,
     greedy_morse_matching,
     hasse,
     is_morse,
     validate_matching,
 )
-from .morse import _thom_smale, simplicial_homology
+from .morse import simplicial_homology, thom_smale_complex
 
 # the interpreter's own SHA-256; hashlib would also map OpenSSL's libcrypto
 # (3-4 MiB resident), as CPython's random.py avoids for sha512
@@ -141,7 +141,7 @@ def _homology_lines(h) -> list[str]:
     return [f"H_{k} = {h.group(k)}" for k in range(len(h.betti))]
 
 
-def cmd_homology(args: argparse.Namespace) -> int:
+def cmd_homology(args: argparse.Namespace) -> Report:
     report = Report("homology")
     X, _ = _load_complex(args.complex, report)
     h = simplicial_homology(X)
@@ -150,8 +150,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
         if t:
             report.put(f"torsion_{k}", list(t))
     report.put("homology", _homology_lines(h))
-    report.emit(args.json)
-    return 0
+    return report
 
 
 def _differential_lines(C: ChainComplex, table: SymbolTable) -> list[str]:
@@ -168,42 +167,40 @@ def _differential_lines(C: ChainComplex, table: SymbolTable) -> list[str]:
     return lines
 
 
-def _matching_from_args(
-    args, H: HasseDiagram, table: SymbolTable, report: Report
-) -> Matching | None:
-    """Greedy matching, or the validated matching file; None on a negative
-    validation verdict (already reported)."""
-    if args.matching is None:
-        M = greedy_morse_matching(H.complex)
-        report.put("matching_source", "greedy")
-        return M
-    pairs = parse_matching(_read_file(args.matching, report), table)
-    verdict = validate_matching(H, pairs)
+def _read_matching(
+    path: str, X: SimplicialComplex, table: SymbolTable, report: Report
+) -> list[Pair] | None:
+    """The pairs of a matching file, in file order, once validate_matching
+    accepts them on X; None after reporting a negative verdict."""
+    pairs = parse_matching(_read_file(path, report), table)
+    verdict = validate_matching(hasse(X), pairs)
     report.put("matching_valid", verdict.ok)
     if not verdict.ok:
         report.put("matching_problem", verdict.problem)
         return None
-    return Matching(pairs)
+    return pairs
 
 
-def cmd_morse(args: argparse.Namespace) -> int:
+def cmd_morse(args: argparse.Namespace) -> Report:
     report = Report("morse")
     X, table = _load_complex(args.complex, report)
-    H = hasse(X)
-    M = _matching_from_args(args, H, table, report)
-    if M is None:
-        report.emit(args.json)
-        return 0
+    if args.matching is None:
+        M = greedy_morse_matching(X)
+        report.put("matching_source", "greedy")
+    else:
+        pairs = _read_matching(args.matching, X, table, report)
+        if pairs is None:
+            return report
+        M = Matching(pairs)
     report.put("pairs", len(M))
-    witness = closed_vpath(H, M)
+    witness = closed_vpath(hasse(X), M)
     report.put("morse", witness is None)
     if witness is not None:
         report.put(
             "closed_vpath", " -> ".join(table.decode_cell(c) for c in witness)
         )
-        report.emit(args.json)
-        return 0
-    ts = _thom_smale(X, M)
+        return report
+    ts = thom_smale_complex(X, M)
     report.put("critical", [ts.size(k) for k in range(X.dim + 1)])
     report.put("differential", _differential_lines(ts, table))
     hm = homology(ts)
@@ -211,26 +208,20 @@ def cmd_morse(args: argparse.Namespace) -> int:
     report.put("morse_homology", _homology_lines(hm))
     report.put("homology_match", hm == hs)
     report.put("matching", format_matching(M, table).splitlines())
-    report.emit(args.json)
-    return 0
+    return report
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
+def cmd_reduce(args: argparse.Namespace) -> Report:
     if args.max_orders < 1:
         raise ParseError(f"--max-orders must be at least 1, got {args.max_orders}")
     report = Report("reduce")
     X, table = _load_complex(args.complex, report)
-    pairs = parse_matching(_read_file(args.matching, report), table)
-    H = hasse(X)
-    verdict = validate_matching(H, pairs)
-    report.put("matching_valid", verdict.ok)
-    if not verdict.ok:
-        report.put("matching_problem", verdict.problem)
-        report.emit(args.json)
-        return 0
+    pairs = _read_matching(args.matching, X, table, report)
+    if pairs is None:
+        return report
     M = Matching(pairs)
     C = chain_complex(X)
-    morse = is_morse(H, M)
+    morse = is_morse(hasse(X), M)
     report.put("morse", morse)
 
     if args.all_orders:
@@ -242,9 +233,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             report.put("failure_step", res.failure.step)
             report.put("failure_pivot", res.failure.pivot)
         if res.agree and morse:
-            report.put("matches_thom_smale", res.reduced == _thom_smale(X, M))
-        report.emit(args.json)
-        return 0
+            report.put("matches_thom_smale", res.reduced == thom_smale_complex(X, M))
+        return report
 
     order = list(pairs)
     if args.order is not None:
@@ -268,36 +258,29 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             report.put("failed_step", i)
             report.put("failed_pair", pair)
             report.put("failed_pivot", pivot)
-            report.emit(args.json)
-            return 0
+            return report
         steps.append(f"{pair} ; pivot {pivot}")
     report.put("steps", steps)
     report.put("reduced_sizes", [current.size(k) for k in range(current.top_dim + 1)])
     report.put("reduced_differential", _differential_lines(current, table))
     if morse:
-        report.put("matches_thom_smale", current == _thom_smale(X, M))
-    report.emit(args.json)
-    return 0
+        report.put("matches_thom_smale", current == thom_smale_complex(X, M))
+    return report
 
 
-def cmd_euler(args: argparse.Namespace) -> int:
+def cmd_euler(args: argparse.Namespace) -> Report:
     report = Report("euler")
     X, table = _load_complex(args.complex, report)
     if args.matching is not None:
-        pairs = parse_matching(_read_file(args.matching, report), table)
-        verdict = validate_matching(hasse(X), pairs)
-        report.put("matching_valid", verdict.ok)
-        if not verdict.ok:
-            report.put("matching_problem", verdict.problem)
-            report.emit(args.json)
-            return 0
+        pairs = _read_matching(args.matching, X, table, report)
+        if pairs is None:
+            return report
         M = Matching(pairs)
         uncovered = [c for c in X.all_cells() if not M.covers(c)]
         report.put("complete", not uncovered)
         if uncovered:
             report.put("uncovered_cell", table.decode_cell(uncovered[0]))
-            report.emit(args.json)
-            return 0
+            return report
     else:
         M = complete_matching(hasse(X))
         report.put("complete", M is not None)
@@ -309,8 +292,7 @@ def cmd_euler(args: argparse.Namespace) -> int:
                 )
             else:
                 report.warn("no complete matching: bipartite matching is not perfect")
-            report.emit(args.json)
-            return 0
+            return report
     chain = euler_chain_from_matching(X, M)
     want = {c: (1 if len(c) % 2 == 1 else -1) for c in X.all_cells()}
     report.put("matching", format_matching(M, table).splitlines())
@@ -330,11 +312,10 @@ def cmd_euler(args: argparse.Namespace) -> int:
         else:
             report.put("comparable", True)
             report.put("homologous", homologous(X, chain, other))
-    report.emit(args.json)
-    return 0
+    return report
 
 
-def cmd_subdivide(args: argparse.Namespace) -> int:
+def cmd_subdivide(args: argparse.Namespace) -> Report:
     report = Report("subdivide")
     X, table = _load_complex(args.complex, report)
     sub = barycentric_subdivision(X)
@@ -349,11 +330,10 @@ def cmd_subdivide(args: argparse.Namespace) -> int:
         ],
     )
     report.put("facets", format_complex(sd).splitlines())
-    report.emit(args.json)
-    return 0
+    return report
 
 
-def cmd_product(args: argparse.Namespace) -> int:
+def cmd_product(args: argparse.Namespace) -> Report:
     report = Report("product")
     try:
         X = product_triangulation(args.m, args.n)
@@ -362,18 +342,13 @@ def cmd_product(args: argparse.Namespace) -> int:
     report.put("cells", [len(X.cells(k)) for k in range(X.dim + 1)])
     report.put("euler_characteristic", X.euler_characteristic())
     report.put("facets", format_complex(X).splitlines())
-    report.emit(args.json)
-    return 0
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser for the six subcommands."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled orders")
-    common.add_argument(
-        "--max-orders", type=int, default=100, help="order sample budget"
-    )
 
     parser = argparse.ArgumentParser(
         prog="discmorse",
@@ -396,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reduce", parents=[common], help="eliminate matched pairs in a given order"
     )
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled orders")
+    p.add_argument("--max-orders", type=int, default=100, help="order sample budget")
     p.add_argument("complex", help="facet file")
     p.add_argument("--matching", required=True, help="matching file")
     p.add_argument("--order", help="comma-separated indices into the matching lines")
@@ -432,13 +409,12 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
+        report = args.func(args)
+    except DiscMorseError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DiscMorseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report.emit(args.json)
+    return 0
 
 
 if __name__ == "__main__":

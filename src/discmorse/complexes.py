@@ -232,10 +232,13 @@ def barycentric_subdivision(X: SimplicialComplex) -> Subdivision:
             memo[c] = got
         return got
 
-    all_chains: list[tuple[int, ...]] = []
+    all_chains: set[Cell] = set()
     for c in ordered:
-        all_chains.extend(chains_to(c))
-    sd = SimplicialComplex(all_chains)
+        all_chains.update(chains_to(c))
+    # chains are increasing vertex tuples, and every sub-chain of a chain is
+    # a chain: the constructor's checks would pass on every cell
+    sd = SimplicialComplex.__new__(SimplicialComplex)
+    sd._fill(all_chains)
     return Subdivision(sd, vid, {i: c for c, i in vid.items()})
 
 

@@ -2,7 +2,8 @@
 
 Simplices and their boundaries up to dimension 4, three small closed
 surfaces, and two staircase products. Each complex is also shipped as a
-facet file under ``data/`` and can be loaded back from there.
+facet file under ``data/`` and can be loaded back from there; the three
+surfaces exist only as those files.
 """
 
 from __future__ import annotations
@@ -11,29 +12,7 @@ import itertools
 from importlib import resources
 
 from .complexes import SimplicialComplex, product_triangulation
-
-# 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7
-TORUS_FACETS = tuple(
-    sorted(
-        [tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7)]
-        + [tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))) for i in range(7)]
-    )
-)
-
-# 6-vertex projective plane
-PROJECTIVE_PLANE_FACETS = (
-    (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
-    (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
-)
-
-# 8-vertex Klein bottle: 24 edges, 16 triangles, every edge in exactly two
-# triangles, all vertex links single cycles; H_1 = Z + Z/2
-KLEIN_BOTTLE_FACETS = (
-    (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4),
-    (1, 2, 5), (1, 3, 6), (1, 4, 5), (1, 4, 6),
-    (2, 3, 5), (2, 3, 7), (2, 4, 6), (2, 6, 7),
-    (3, 4, 7), (3, 5, 6), (4, 5, 7), (5, 6, 7),
-)
+from .io import parse_complex
 
 
 def simplex(n: int) -> SimplicialComplex:
@@ -53,15 +32,18 @@ def sphere(n: int) -> SimplicialComplex:
 
 
 def torus() -> SimplicialComplex:
-    return SimplicialComplex.from_facets(TORUS_FACETS)
+    """The 7-vertex torus, triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7."""
+    return load("torus")
 
 
 def projective_plane() -> SimplicialComplex:
-    return SimplicialComplex.from_facets(PROJECTIVE_PLANE_FACETS)
+    """The 6-vertex projective plane."""
+    return load("projective_plane")
 
 
 def klein_bottle() -> SimplicialComplex:
-    return SimplicialComplex.from_facets(KLEIN_BOTTLE_FACETS)
+    """An 8-vertex Klein bottle, H_1 = Z + Z/2."""
+    return load("klein_bottle")
 
 
 _BUILDERS = {
@@ -104,6 +86,4 @@ def data_text(name: str) -> str:
 
 def load(name: str) -> SimplicialComplex:
     """Parse the packaged facet file; equals build(name)."""
-    from .io import parse_complex
-
     return parse_complex(data_text(name))[0]

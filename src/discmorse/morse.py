@@ -210,28 +210,13 @@ def thom_smale_complex(
     the matching is not Morse or the resulting boundaries do not square to
     zero.
     """
-    _, id_of, faces, _ = X.index()
+    cells, id_of, faces, _ = X.index()
     v = _field(id_of, M)
     if not _acyclic(faces, v):
         raise NotMorseError("matching has a closed V-path")
-    return _thom_smale(X, M, orientation, v)
-
-
-def _thom_smale(
-    X: SimplicialComplex,
-    M: Matching,
-    orientation: Orientation | None = None,
-    v: list[int] | None = None,
-) -> MorseComplex:
-    """:func:`thom_smale_complex` without its acyclicity check, for callers
-    that have just decided on the same X that M is Morse; v is M as
-    ``matchings._field`` gives it, built here when not passed."""
     crit = critical_cells(X, M)
     bases = {k: crit.get(k, ()) for k in range(X.dim + 1)}
-    cells, id_of, faces, _ = X.index()
     o = orientation or {}
-    if v is None:
-        v = _field(id_of, M)
     boundaries: dict[int, dict[Cell, dict[Cell, int]]] = {}
     for k in range(1, X.dim + 1):
         taus = [id_of[tau] for tau in bases[k]]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discmorse.chains import ChainComplex, boundary_matrix, chain_complex
+from discmorse.chains import ChainComplex, chain_complex
 from discmorse.complexes import SimplicialComplex, incidence
 from discmorse.elimination import eliminate_sequence
 from discmorse.homology import homology
@@ -18,15 +18,14 @@ def triangle():
 
 
 def test_boundary_matrix_frozen_for_the_triangle():
-    X = triangle()
-    assert boundary_matrix(X, 0) == []
-    assert boundary_matrix(X, 1) == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
-    assert boundary_matrix(X, 2) == [[1], [-1], [1]]
+    C = chain_complex(triangle())
+    assert C.boundary(0) == []
+    assert C.boundary(1) == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
+    assert C.boundary(2) == [[1], [-1], [1]]
 
 
 def test_boundary_matrix_respects_orientation():
-    X = triangle()
-    flipped = boundary_matrix(X, 2, orientation={(0, 1, 2): -1})
+    flipped = chain_complex(triangle(), orientation={(0, 1, 2): -1}).boundary(2)
     assert flipped == [[-1], [1], [-1]]
 
 

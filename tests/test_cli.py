@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 from importlib import resources
 
@@ -8,7 +9,10 @@ import pytest
 from discmorse import cli, corpus
 from discmorse.chains import chain_complex
 from discmorse.cli import main
+from discmorse.elimination import all_orders_agree
 from discmorse.homology import homology
+from discmorse.io import format_complex, format_matching
+from discmorse.matchings import random_matching, random_morse_matching
 
 CIRCLE = "0 1\n1 2\n0 2\n"
 TRIANGLE = "0 1 2\n"
@@ -399,3 +403,56 @@ def test_repeated_calls_in_one_process_match_a_fresh_parser(tmp_path, capsys, mo
     assert "orders_tested" not in cached[6][1] and "  1 ; 1 2 ; pivot -1\n" in cached[6][1]
     assert cached[7][0] == 2 and "invalid int value: 'x'" in cached[7][2]
     assert json.loads(cached[8][1])["results"]["matching_source"] == "greedy"
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--max-orders", "5"]])
+@pytest.mark.parametrize("sub", ["homology", "morse", "euler", "subdivide", "product"])
+def test_only_reduce_takes_seed_and_max_orders(tmp_path, capsys, sub, flag):
+    args = ["1", "1"] if sub == "product" else [write(tmp_path, "circle.facets", CIRCLE)]
+    assert run(capsys, [sub, *args])[0] == 0
+    code, out, err = run(capsys, [sub, *args, *flag])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: discmorse ")
+    assert f"error: unrecognized arguments: {flag[0]}" in err
+    code, out, _ = run(capsys, [sub, "--help"])
+    assert code == 0 and out.startswith(f"usage: discmorse {sub} ")
+    assert "--seed" not in out and "--max-orders" not in out
+
+
+def test_reduce_all_orders_samples_with_seed_and_max_orders(tmp_path, capsys, monkeypatch):
+    X = corpus.torus()
+    M = random_morse_matching(X, random.Random(0))
+    assert len(M) > 8  # past the exhaustive bound, so orders are sampled
+    cx = write(tmp_path, "torus.facets", format_complex(X))
+    mt = write(tmp_path, "m.matching", format_matching(M))
+    seen = []
+
+    def spy(C, M, **kw):
+        seen.append(kw)
+        return all_orders_agree(C, M, **kw)
+
+    monkeypatch.setattr(cli, "all_orders_agree", spy)
+    argv = ["reduce", "--json", cx, "--matching", mt, "--all-orders"]
+    code, out, _ = run(capsys, argv + ["--seed", "3", "--max-orders", "2"])
+    assert code == 0 and seen == [{"max_orders": 2, "seed": 3}]
+    res = json.loads(out)["results"]
+    assert (res["orders_tested"], res["exhaustive"], res["all_orders_agree"]) == (2, False, True)
+    assert res["matches_thom_smale"] is True
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and seen[1] == {"max_orders": 100, "seed": 0}
+    assert json.loads(out)["results"]["orders_tested"] == 100
+
+
+def test_non_morse_matchings_keep_their_verdict_and_witness(tmp_path, capsys):
+    X = corpus.torus()
+    M = random_matching(X, random.Random(0), density=0.9)
+    cx = write(tmp_path, "torus.facets", format_complex(X))
+    mt = write(tmp_path, "m.matching", format_matching(M))
+    code, out, _ = run(capsys, ["morse", cx, "--matching", mt])
+    assert code == 0
+    assert "morse: False\nclosed_vpath: 0 -> 2 -> 3 -> 6 -> 5 -> 4 -> 0\n" in out
+    assert "critical" not in out
+    for extra in ([], ["--all-orders"]):
+        code, out, _ = run(capsys, ["reduce", cx, "--matching", mt, *extra])
+        assert code == 0
+        assert "morse: False\n" in out and "matches_thom_smale" not in out

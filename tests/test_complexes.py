@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from discmorse import corpus
 from discmorse.complexes import (
     MAX_FACET_CELLS,
     SimplicialComplex,
@@ -121,6 +122,16 @@ def test_barycentric_subdivision_counts_and_euler():
     assert {sub2.barycenter_of[c] for c in circle.all_cells()} == set(
         range(circle.n_cells)
     )
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_barycentric_subdivision_passes_the_checked_constructor(name):
+    sd = barycentric_subdivision(corpus.load(name)).complex
+    checked = SimplicialComplex(sd.all_cells())
+    assert sd == checked
+    assert [sd.cells(k) for k in range(sd.dim + 1)] == [
+        checked.cells(k) for k in range(checked.dim + 1)
+    ]
 
 
 def test_product_triangulation_square_and_prism():
