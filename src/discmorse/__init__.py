@@ -6,13 +6,14 @@ The package is organized bottom-up:
   staircase products; ``ChainComplex(bases, boundaries)`` stores each
   boundary as sparse columns ``boundaries[k] = {label: {face: coeff}}``,
   and ``boundary(k)`` returns a dense copy.
-- matchings: Hasse diagrams, (Morse) matchings, collapses, greedy and
+- matchings: (Morse) matchings on the Hasse diagram, which is the cell
+  index (``hasse(X)`` is ``X.index()``); acyclicity, collapses, greedy and
   randomized matching search.
-- morse: V-paths, their signed multiplicities, the chain complex on
-  critical cells, and ``simplicial_homology``, which runs the Smith form
-  on that complex only.
-- elimination: unit-pivot Gaussian elimination of matched pairs and the
-  equivalence with Morse matchings.
+- morse: the chain complex on critical cells from signed V-path counts,
+  and ``simplicial_homology``, which runs the Smith form on that complex
+  only.
+- elimination: unit-pivot Gaussian elimination of matched pairs, and the
+  check that elimination orders agree.
 - homology: integer Smith normal form with transforms, Betti numbers,
   torsion, and cycle classification.
 - euler: complete matchings, Euler chains, rerouting, homologous tests.
@@ -35,12 +36,10 @@ from .elimination import (
     all_orders_agree,
     eliminate_sequence,
     gaussian_eliminate,
-    morse_iff_all_orders,
 )
 from .errors import DiscMorseError, MatchingError, NotMorseError, ParseError
 from .euler import (
     EulerChain,
-    boundary_zero_chain,
     complete_matching,
     cone_rewire,
     euler_chain_from_matching,
@@ -56,7 +55,6 @@ from .homology import (
     smith_normal_form,
 )
 from .matchings import (
-    HasseDiagram,
     Matching,
     closed_vpath,
     critical_cells,
@@ -65,20 +63,14 @@ from .matchings import (
     greedy_morse_matching,
     hasse,
     is_morse,
-    random_matching,
     random_morse_matching,
     validate_matching,
 )
 from .morse import (
     MorseComplex,
-    VPath,
-    differential_entry,
-    multiplicity,
-    path_counts_signed,
     reorient,
     simplicial_homology,
     thom_smale_complex,
-    vpaths,
 )
 
 __version__ = "0.1.0"

@@ -7,9 +7,10 @@ column are deleted. The degree above only loses the row of the upper
 generator and the degree below only loses the column of the lower one.
 The result is again a chain complex with the same homology.
 
-A matching is Morse exactly when every elimination order over its pairs
-runs to completion, and then every order yields the same reduced complex
-because surviving labels keep their identity and order.
+Eliminating the pairs of a Morse matching runs to completion in every
+order, and every order yields the same reduced complex because surviving
+labels keep their identity and order; ``all_orders_agree`` tries orders
+and compares their outcomes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .chains import ChainComplex, Column, Label
 from .errors import EliminationError
-from .matchings import Matching, Pair, hasse, is_morse
+from .matchings import Matching, Pair
 
 
 class EliminationStep(NamedTuple):
@@ -153,27 +154,3 @@ def all_orders_agree(
         elif reduced != reference:
             return OrdersResult(False, tested, exhaustive, None, None, tuple(order))
     return OrdersResult(True, tested, exhaustive, reference, None, None)
-
-
-class MorseOrdersVerdict(NamedTuple):
-    morse: bool
-    all_orders_succeed: bool  # no tested order hit a non-invertible pivot
-    consistent: bool          # the two verdicts coincide, as they must
-    orders: OrdersResult
-
-
-def morse_iff_all_orders(
-    X, M: Matching, max_orders: int = 100, seed: int = 0
-) -> MorseOrdersVerdict:
-    """Check the equivalence 'Morse matching == every order eliminates'.
-
-    Runs both sides independently: acyclicity of the matched Hasse diagram
-    on one side, elimination over orders of the simplicial chain complex on
-    the other.
-    """
-    from .chains import chain_complex
-
-    morse = is_morse(hasse(X), M)
-    orders = all_orders_agree(chain_complex(X), M, max_orders=max_orders, seed=seed)
-    succeed = orders.failure is None
-    return MorseOrdersVerdict(morse, succeed, morse == succeed, orders)

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .complexes import Cell, SimplicialComplex, Subdivision
+from .complexes import Cell, CellIndex, SimplicialComplex
 from .errors import MatchingError
 from .homology import in_column_span
-from .matchings import HasseDiagram, Matching, Pair
+from .matchings import Matching, Pair
 
 
-def complete_matching(H: HasseDiagram) -> Matching | None:
+def complete_matching(H: CellIndex) -> Matching | None:
     """A matching covering every cell, or None when none exists.
 
     Cells split by dimension parity into the two sides of a bipartite
@@ -27,7 +27,7 @@ def complete_matching(H: HasseDiagram) -> Matching | None:
     a maximum matching, and completeness is checked at the end. Unequal
     parity counts, i.e. nonzero Euler characteristic, fail immediately.
     """
-    cells, _, faces, cofaces = H.complex.index()
+    cells, _, faces, cofaces = H
     evens = [i for i, c in enumerate(cells) if len(c) % 2 == 1]  # even dim = odd size
     odds = [i for i, c in enumerate(cells) if len(c) % 2 == 0]
     if len(evens) != len(odds):
@@ -134,17 +134,6 @@ def euler_chain_from_matching(X: SimplicialComplex, M: Matching) -> EulerChain:
     if chain.boundary_on_cells() != want:
         raise AssertionError("Euler chain boundary identity failed")
     return chain
-
-
-def boundary_zero_chain(sub: Subdivision, chain: EulerChain) -> dict[int, int]:
-    """The boundary of an Euler chain as a 0-chain on subdivision vertices."""
-    out: dict[int, int] = {}
-    for cell, coeff in chain.boundary_on_cells().items():
-        vid = sub.barycenter_of.get(cell)
-        if vid is None:
-            raise ValueError(f"{cell} has no barycenter in this subdivision")
-        out[vid] = out.get(vid, 0) + coeff
-    return {v: c for v, c in out.items() if c}
 
 
 def homologous(X: SimplicialComplex, xi: EulerChain, eta: EulerChain) -> bool:

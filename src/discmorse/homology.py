@@ -232,13 +232,6 @@ class SmithNormalForm:
         """The nonzero invariant factors."""
         return self.diagonal[: self.rank]
 
-    def d_matrix(self) -> Matrix:
-        m, n = self.shape
-        out = [[0] * n for _ in range(m)]
-        for i, d in enumerate(self.diagonal):
-            out[i][i] = d
-        return out
-
 
 def smith_normal_form(
     A: Sequence[Sequence[int]],
@@ -279,69 +272,6 @@ def in_column_span(rows: list[dict[int, int]], n_cols: int, z: Mapping[int, int]
         if v:
             rows[i][n_cols] = v
     return s.factors == _smith(rows, n_cols + 1, transforms=False).factors
-
-
-def integer_determinant(M: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(M)
-    if any(len(row) != n for row in M):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    A = [list(row) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
-            if swap is None:
-                return 0
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
-def _matmul(A: Matrix, B: Matrix, n_cols_b: int) -> Matrix:
-    out = [[0] * n_cols_b for _ in A]
-    for i, arow in enumerate(A):
-        orow = out[i]
-        for k, v in enumerate(arow):
-            if v:
-                brow = B[k]
-                for j in range(n_cols_b):
-                    if brow[j]:
-                        orow[j] += v * brow[j]
-    return out
-
-
-def snf_is_valid(A: Sequence[Sequence[int]], s: SmithNormalForm) -> bool:
-    """Full contract check: U A V = D, divisibility chain, |det| = 1.
-
-    Meant for tests and small matrices; determinant cost is cubic.
-    """
-    m, n = s.shape
-    if s.U is None:
-        raise ValueError("transforms were not tracked")
-    ua = _matmul(s.U, [list(row) for row in A], n)
-    if _matmul(ua, s.V, n) != s.d_matrix():
-        return False
-    for a, b in zip(s.factors, s.factors[1:]):
-        if a <= 0 or b % a:
-            return False
-    if any(d != 0 for d in s.diagonal[s.rank:]):
-        return False
-    if abs(integer_determinant(s.U)) != 1 or abs(integer_determinant(s.V)) != 1:
-        return False
-    if _matmul(s.U, s.U_inv, m) != _identity(m):
-        return False
-    if _matmul(s.V, s.V_inv, n) != _identity(n):
-        return False
-    return True
 
 
 @dataclass(frozen=True)

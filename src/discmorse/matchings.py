@@ -1,9 +1,11 @@
-"""Hasse diagrams of face posets and matchings on them.
+"""Matchings on the Hasse diagram of a complex's face poset.
 
-A matching pairs a cell with one of its codimension-1 cofaces, no cell in
-two pairs. A matching is Morse when it admits no closed V-path. A closed
-V-path alternates between a k-cell and its matched (k+1)-coface, so only
-matched pairs can lie on one: the decision is one pass over the pairs
+The Hasse diagram is the complex's cell index (``hasse(X)`` is
+``X.index()``): its ``faces`` and ``cofaces`` are the cover relation down
+and up. A matching pairs a cell with one of its codimension-1 cofaces, no
+cell in two pairs. A matching is Morse when it admits no closed V-path. A
+closed V-path alternates between a k-cell and its matched (k+1)-coface, so
+only matched pairs can lie on one: the decision is one pass over the pairs
 (Kahn's algorithm on their V-digraph), and a depth-first search over the
 Hasse diagram runs only to find a witness once that pass finds a cycle.
 """
@@ -14,54 +16,15 @@ import heapq
 import random
 from typing import Iterable, Iterator, NamedTuple
 
-from .complexes import Cell, SimplicialComplex, hyperfaces
+from .complexes import Cell, CellIndex, SimplicialComplex, hyperfaces
 from .errors import MatchingError
 
 Pair = tuple[Cell, Cell]
 
 
-class HasseDiagram:
-    """The cover graph of the face poset: one edge per codimension-1 pair,
-    as a view on the complex's cell index."""
-
-    def __init__(self, X: SimplicialComplex):
-        self._complex = X
-        self._cells, self._id_of, self._faces, self._cofaces = X.index()
-
-    @property
-    def complex(self) -> SimplicialComplex:
-        return self._complex
-
-    def up(self, cell: Cell) -> tuple[Cell, ...]:
-        return tuple([self._cells[j] for j in self._cofaces[self._id_of[cell]]])
-
-    def down(self, cell: Cell) -> tuple[Cell, ...]:
-        return tuple([self._cells[j] for j in reversed(self._faces[self._id_of[cell]])])
-
-    def has_edge(self, sigma: Cell, tau: Cell) -> bool:
-        t = self._id_of.get(tau)
-        return t is not None and self._id_of.get(sigma) in self._faces[t]
-
-    def vertices(self) -> Iterator[Cell]:
-        return iter(self._cells)
-
-    def edges(self) -> Iterator[Pair]:
-        """All (face, coface) edges, ordered by lower cell then upper cell."""
-        for sigma, ups in zip(self._cells, self._cofaces):
-            for j in ups:
-                yield (sigma, self._cells[j])
-
-    @property
-    def n_vertices(self) -> int:
-        return self._complex.n_cells
-
-    @property
-    def n_edges(self) -> int:
-        return sum(map(len, self._faces))
-
-
-def hasse(X: SimplicialComplex) -> HasseDiagram:
-    return HasseDiagram(X)
+def hasse(X: SimplicialComplex) -> CellIndex:
+    """The Hasse diagram of X, that is its cell index."""
+    return X.index()
 
 
 class Matching:
@@ -137,14 +100,18 @@ class ValidationReport(NamedTuple):
     problem: str | None
 
 
-def validate_matching(H: HasseDiagram, pairs: Iterable[Pair]) -> ValidationReport:
+def validate_matching(H: CellIndex, pairs: Iterable[Pair]) -> ValidationReport:
     """Check that pairs are edges of H and pairwise disjoint.
 
     Reports the first missing edge or the first pair of edges sharing a
     cell; accepts any iterable of (face, coface) pairs, not just Matching.
     """
-    pairs = list(pairs)
-    n = next((i for i, (s, t) in enumerate(pairs) if not H.has_edge(s, t)), len(pairs))
+    pairs, id_of, faces = list(pairs), H.id_of, H.faces
+    n = next(  # the first pair that is not a (face, coface) edge of H
+        (i for i, (s, t) in enumerate(pairs)
+         if t not in id_of or id_of.get(s) not in faces[id_of[t]]),
+        len(pairs),
+    )
     try:
         Matching(pairs[:n])  # the edges before the first non-edge
     except MatchingError as exc:
@@ -198,13 +165,13 @@ def _acyclic(faces: tuple[tuple[int, ...], ...], v: list[int]) -> bool:
     return removed == len(nodes)
 
 
-def is_morse(H: HasseDiagram, M: Matching) -> bool:
+def is_morse(H: CellIndex, M: Matching) -> bool:
     """True when M has no closed V-path, decided by one pass over the
     matched pairs."""
-    return _acyclic(H._faces, _field(H._id_of, M))
+    return _acyclic(H.faces, _field(H.id_of, M))
 
 
-def closed_vpath(H: HasseDiagram, M: Matching) -> tuple[Cell, ...] | None:
+def closed_vpath(H: CellIndex, M: Matching) -> tuple[Cell, ...] | None:
     """A closed V-path of M, or None when M is Morse.
 
     The pass of :func:`is_morse` decides; only when it finds a cycle does
@@ -212,7 +179,7 @@ def closed_vpath(H: HasseDiagram, M: Matching) -> tuple[Cell, ...] | None:
     cycle of that digraph alternates between dimensions k and k+1, so its
     k-cells in stack order, closed up, are a V-path.
     """
-    cells, faces, v = H._cells, H._faces, _field(H._id_of, M)
+    cells, faces, v = H.cells, H.faces, _field(H.id_of, M)
     if _acyclic(faces, v):
         return None
     color = bytearray(len(cells))  # 0 unseen, 1 on the stack, 2 done
@@ -371,21 +338,6 @@ def random_morse_matching(
     if keep < 1.0:
         M = Matching(p for p in M.pairs() if rng.random() < keep)
     return M
-
-
-def random_matching(X: SimplicialComplex, rng: random.Random, density: float = 0.7) -> Matching:
-    """A random valid matching with no Morse guarantee (for oracle tests)."""
-    edges = list(hasse(X).edges())
-    rng.shuffle(edges)
-    covered: set[Cell] = set()
-    pairs = []
-    for sigma, tau in edges:
-        if sigma in covered or tau in covered:
-            continue
-        if rng.random() < density:
-            covered.update((sigma, tau))
-            pairs.append((sigma, tau))
-    return Matching(pairs)
 
 
 def greedy_morse_matching(X: SimplicialComplex) -> Matching:

@@ -1,4 +1,4 @@
-"""V-paths and the chain complex generated by critical cells.
+"""The chain complex generated by critical cells, from signed V-path counts.
 
 For a Morse matching, critical cells of each dimension form the basis of a
 chain complex whose differential counts V-paths between critical cells
@@ -10,107 +10,13 @@ underlying complex.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable
 
 from .chains import ChainComplex
-from .complexes import Cell, Orientation, SimplicialComplex, hyperfaces, incidence
+from .complexes import Cell, Orientation, SimplicialComplex
 from .errors import NotMorseError
 from .homology import HomologySummary, homology
-from .matchings import (
-    Matching, _acyclic, _field, _steps, critical_cells, hasse, is_morse, random_morse_matching
-)
-
-
-@dataclass(frozen=True)
-class VPath:
-    """A V-path: cells of equal dimension, each consecutive pair distinct
-    and jointly contained in the matched coface of the earlier one."""
-
-    cells: tuple[Cell, ...]
-
-    @property
-    def start(self) -> Cell:
-        return self.cells[0]
-
-    @property
-    def end(self) -> Cell:
-        return self.cells[-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.cells) - 1
-
-    @property
-    def is_stationary(self) -> bool:
-        return len(self.cells) == 1
-
-
-def _as_cells(gamma: VPath | Iterable[Cell]) -> tuple[Cell, ...]:
-    if isinstance(gamma, VPath):
-        return gamma.cells
-    return tuple(gamma)
-
-
-def multiplicity(
-    X: SimplicialComplex,
-    gamma: VPath | Iterable[Cell],
-    orientation: Orientation | None = None,
-) -> int:
-    """The sign a V-path transports orientation with, always +1 or -1.
-
-    Each step sigma -> sigma' contributes
-    -<d u, sigma> * <d u, sigma'> where u = sigma union sigma' is the
-    matched coface of sigma (for cells of equal dimension the union is the
-    only candidate, so no matching argument is needed). Stationary paths
-    have multiplicity +1.
-    """
-    cells = _as_cells(gamma)
-    if not cells:
-        raise ValueError("a V-path has at least one cell")
-    m = 1
-    for a, b in zip(cells, cells[1:]):
-        if len(a) != len(b):
-            raise ValueError(f"cells {a} and {b} differ in dimension")
-        if a == b:
-            raise ValueError(f"consecutive cells repeat: {a}")
-        u = tuple(sorted(set(a) | set(b)))
-        if len(u) != len(a) + 1 or u not in X:
-            raise ValueError(f"no common coface in X for step {a} -> {b}")
-        m *= -incidence(u, a, orientation) * incidence(u, b, orientation)
-    return m
-
-
-def vpaths(
-    X: SimplicialComplex, M: Matching, start: Cell, end: Cell
-) -> list[VPath]:
-    """All V-paths of M from start to end, by exhaustive walk.
-
-    Requires a Morse matching (otherwise the walk could cycle). Paths are
-    returned in depth-first discovery order; a stationary path is included
-    when start == end.
-    """
-    if start not in X or end not in X:
-        raise ValueError("start and end must be cells of X")
-    if not is_morse(hasse(X), M):
-        raise NotMorseError("matching has a closed V-path")
-    found: list[VPath] = []
-    path: list[Cell] = [start]
-
-    stack = [_steps(M, start)]
-    if start == end:
-        found.append(VPath((start,)))
-    while stack:
-        nxt = next(stack[-1], None)
-        if nxt is None:
-            stack.pop()
-            path.pop()
-            continue
-        path.append(nxt)
-        if nxt == end:
-            found.append(VPath(tuple(path)))
-        stack.append(_steps(M, nxt))
-    return found
+from .matchings import Matching, _acyclic, _field, critical_cells, random_morse_matching
 
 
 def _signed_counts(
@@ -145,48 +51,6 @@ def _signed_counts(
                 total[crit] = total.get(crit, 0) + step * n
         memo[c] = {crit: n for crit, n in total.items() if n}
     return memo
-
-
-def path_counts_signed(
-    X: SimplicialComplex,
-    M: Matching,
-    sigma_tilde: Cell,
-    orientation: Orientation | None = None,
-) -> dict[Cell, int]:
-    """Signed V-path counts from sigma_tilde to every reachable critical
-    cell of the same dimension (zero totals omitted)."""
-    if sigma_tilde not in X:
-        raise ValueError("sigma_tilde must be a cell of X")
-    if not is_morse(hasse(X), M):
-        raise NotMorseError("matching has a closed V-path")
-    index, o = X.index(), orientation or {}
-    start = index.id_of[sigma_tilde]
-    counts = _signed_counts(index.faces, _field(index.id_of, M), [start])[start]
-    sign = o.get(sigma_tilde, 1)
-    return {index.cells[c]: sign * o.get(index.cells[c], 1) * n for c, n in counts.items()}
-
-
-def differential_entry(
-    X: SimplicialComplex,
-    M: Matching,
-    tau: Cell,
-    sigma: Cell,
-    orientation: Orientation | None = None,
-) -> int:
-    """The coefficient of critical cell sigma in the differential of
-    critical cell tau, by literal V-path enumeration:
-    sum over hyperfaces s of tau of <d tau, s> * sum of multiplicities of
-    V-paths from s to sigma."""
-    if M.covers(tau) or M.covers(sigma):
-        raise ValueError("tau and sigma must both be critical")
-    if len(tau) != len(sigma) + 1:
-        raise ValueError("tau must have dimension one above sigma")
-    total = 0
-    for s in hyperfaces(tau):
-        inc = incidence(tau, s, orientation)
-        for gamma in vpaths(X, M, s, sigma):
-            total += inc * multiplicity(X, gamma, orientation)
-    return total
 
 
 class MorseComplex(ChainComplex):
@@ -249,8 +113,8 @@ def reorient(X: SimplicialComplex, flips: Iterable[Cell]) -> dict[Cell, int]:
     """Orientation table flipping the listed cells of X.
 
     The result maps each flipped cell to -1; pass it as the orientation
-    argument of incidence, boundary matrices, or any of the V-path
-    functions. Homology is unchanged by any choice of flips.
+    argument of incidence, ``chain_complex`` or ``thom_smale_complex``.
+    Homology is unchanged by any choice of flips.
     """
     table: dict[Cell, int] = {}
     for c in flips:

@@ -6,7 +6,8 @@ import random
 from hypothesis import strategies as st
 
 from discmorse.complexes import SimplicialComplex
-from discmorse.matchings import Matching, random_matching
+from discmorse.matchings import Matching
+from oracles import random_matching
 
 # complexes with facets on at most 7 vertices and of dimension at most 3
 small_complexes = st.lists(

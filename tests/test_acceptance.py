@@ -15,10 +15,8 @@ from contextlib import contextmanager
 from discmorse import corpus
 from discmorse.chains import chain_complex
 from discmorse.complexes import SimplicialComplex, barycentric_subdivision
-from discmorse.elimination import morse_iff_all_orders
 from discmorse.euler import (
     EulerChain,
-    boundary_zero_chain,
     complete_matching,
     euler_chain_from_matching,
     homologous,
@@ -33,10 +31,10 @@ from discmorse.matchings import (
     greedy_morse_matching,
     hasse,
     is_morse,
-    random_matching,
     random_morse_matching,
 )
 from discmorse.morse import reorient, thom_smale_complex
+from oracles import boundary_zero_chain, hasse_edges, morse_iff_all_orders, random_matching
 
 
 @contextmanager
@@ -68,7 +66,7 @@ def full_corpus():
 
 def all_matchings(X):
     """Every pairwise-disjoint subset of Hasse edges, the empty one included."""
-    edges = list(hasse(X).edges())
+    edges = hasse_edges(X)
     found = []
 
     def extend(i, used, acc):

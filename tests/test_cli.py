@@ -12,7 +12,8 @@ from discmorse.cli import main
 from discmorse.elimination import all_orders_agree
 from discmorse.homology import homology
 from discmorse.io import format_complex, format_matching
-from discmorse.matchings import random_matching, random_morse_matching
+from discmorse.matchings import random_morse_matching
+from oracles import random_matching
 
 CIRCLE = "0 1\n1 2\n0 2\n"
 TRIANGLE = "0 1 2\n"

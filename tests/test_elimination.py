@@ -10,11 +10,11 @@ from discmorse.elimination import (
     all_orders_agree,
     eliminate_sequence,
     gaussian_eliminate,
-    morse_iff_all_orders,
 )
 from discmorse.errors import EliminationError
 from discmorse.matchings import Matching, random_morse_matching
 from discmorse.morse import thom_smale_complex
+from oracles import morse_iff_all_orders, random_matching
 
 
 def circle():
@@ -112,8 +112,6 @@ def test_all_orders_agree_samples_large_matchings():
 
 
 def test_morse_iff_all_orders_on_random_matchings():
-    from discmorse.matchings import random_matching
-
     X = circle()
     rng = random.Random(17)
     seen = {True: 0, False: 0}

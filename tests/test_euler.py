@@ -13,7 +13,6 @@ from discmorse.errors import MatchingError
 from discmorse.homology import cycle_class
 from discmorse.euler import (
     EulerChain,
-    boundary_zero_chain,
     complete_matching,
     cone_rewire,
     euler_chain_from_matching,
@@ -21,6 +20,7 @@ from discmorse.euler import (
     reroute_along_vpath,
 )
 from discmorse.matchings import Matching, hasse
+from oracles import boundary_zero_chain
 from strategies import euler_zero_complexes
 
 

@@ -18,10 +18,10 @@ from discmorse.matchings import (
     greedy_morse_matching,
     hasse,
     is_morse,
-    random_matching,
     random_morse_matching,
     validate_matching,
 )
+from oracles import hasse_edges, random_matching
 from strategies import small_complexes, tetrahedra_rings
 
 
@@ -37,22 +37,6 @@ def torus():
     facets = [tuple(sorted([i, (i + 1) % 7, (i + 3) % 7])) for i in range(7)]
     facets += [tuple(sorted([i, (i + 2) % 7, (i + 3) % 7])) for i in range(7)]
     return SimplicialComplex.from_facets(facets)
-
-
-# --- Hasse diagram ---
-
-
-def test_hasse_counts_and_edges():
-    H = hasse(triangle())
-    assert H.n_vertices == 7
-    assert H.n_edges == 6 + 3  # 2 per edge cell, 3 into the triangle
-    assert H.has_edge((0,), (0, 1))
-    assert not H.has_edge((0,), (1, 2))
-    assert not H.has_edge((0,), (0, 1, 2))  # codimension 2 is not a cover
-    first = next(iter(H.edges()))
-    assert first == ((0,), (0, 1))
-    assert H.up((0, 2)) == ((0, 1, 2),)
-    assert H.down((0, 1, 2)) == ((0, 1), (0, 2), (1, 2))
 
 
 # --- Matching basics ---
@@ -89,6 +73,24 @@ def test_matching_remove_and_equality():
         M.remove(((2,), (0, 2)))
     assert M == Matching(reversed(M.pairs()))
     assert hash(M) == hash(Matching(M.pairs()))
+
+
+def test_validate_matching_accepts_the_hasse_edges_only():
+    X = triangle()
+    H = hasse(X)
+    edges = hasse_edges(X)
+    assert len(edges) == 6 + 3  # 2 per edge cell, 3 into the triangle
+    assert edges[0] == ((0,), (0, 1))
+    assert all(validate_matching(H, [pair]).ok for pair in edges)
+    for pair in [
+        ((0,), (0, 1, 2)),  # codimension 2 is not a cover
+        ((0,), (1, 2)),  # not a face
+        ((0, 1), (0, 1, 3)),  # a cover pair, but its coface is not in X
+        ((99,), (0, 1, 2)),  # a face outside X
+        ((0,), (99,)),  # a coface outside X
+    ]:
+        bad = validate_matching(H, [pair])
+        assert not bad.ok and "not a Hasse edge" in bad.problem, pair
 
 
 def test_validate_matching_reports_first_problem():
@@ -139,7 +141,7 @@ def test_find_closed_vpath_witness():
 
 def every_matching(X):
     """Every set of pairwise disjoint Hasse edges of X, the empty one included."""
-    edges = list(hasse(X).edges())
+    edges = hasse_edges(X)
 
     def extend(i, used):
         if i == len(edges):

@@ -20,10 +20,10 @@ from discmorse.matchings import (
     find_collapse,
     greedy_morse_matching,
     hasse,
-    random_matching,
     random_morse_matching,
 )
 from discmorse.morse import reorient, thom_smale_complex
+from oracles import random_matching
 
 
 def digest(value) -> str:
