@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-from .complexes import Cell, Orientation, SimplicialComplex
+from .complexes import Orientation, SimplicialComplex, _check_orientation
 
 Label = Hashable
 Matrix = list[list[int]]
@@ -115,22 +115,20 @@ class ChainComplex:
 def chain_complex(
     X: SimplicialComplex, orientation: Orientation | None = None
 ) -> ChainComplex:
-    """The simplicial chain complex of X with lexicographic cell bases."""
-    bases = {k: X.cells(k) for k in range(X.dim + 1)}
-    boundaries = {
-        k: {tau: _cell_boundary(tau, orientation) for tau in X.cells(k)}
-        for k in range(1, X.dim + 1)
-    }
-    return ChainComplex(bases, boundaries)
-
-
-def _cell_boundary(tau: Cell, orientation: Orientation | None) -> Column:
-    """Dropping vertex i of tau carries the sign (-1)**i, times any flips."""
-    col = {}
-    for i in range(len(tau)):
-        sigma = tau[:i] + tau[i + 1:]
-        sign = -1 if i % 2 else 1
-        if orientation:
-            sign *= orientation.get(tau, 1) * orientation.get(sigma, 1)
-        col[sigma] = sign
-    return col
+    """The simplicial chain complex of X with lexicographic cell bases. The
+    faces come from ``X.index()``, face position j with the sign (-1)**j
+    times any flips, so the boundaries square to zero and skip the checks.
+    Raises ValueError for an orientation value other than +1 or -1."""
+    _check_orientation(orientation)
+    o = orientation or {}
+    cells, _, faces, _ = X.index()
+    bases = {k: {c: i for i, c in enumerate(X.cells(k))} for k in range(X.dim + 1)}
+    columns: dict[int, dict[Label, Column]] = {k: {} for k in range(1, X.dim + 1)}
+    for tau, fs in zip(cells, faces):  # (dimension, lexicographic) order
+        if fs:
+            sign = o.get(tau, 1)
+            columns[len(fs) - 1][tau] = {
+                cells[f]: sign * o.get(cells[f], 1) * (-1 if j % 2 else 1)
+                for j, f in enumerate(fs)
+            }
+    return ChainComplex._trusted(bases, columns)

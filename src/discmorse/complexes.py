@@ -19,6 +19,14 @@ from .errors import ParseError
 Cell = tuple[int, ...]
 Orientation = Mapping[Cell, int]
 
+
+def _check_orientation(orientation: Orientation | None) -> None:
+    """Raise ValueError unless every value of the table is +1 or -1."""
+    for cell, sign in (orientation or {}).items():
+        if sign not in (1, -1):
+            raise ValueError(f"orientation of {cell} is {sign!r}, not +1 or -1")
+
+
 # Upper bound on the faces from_facets may expand, counted with repeats.
 # One 22-vertex facet exceeds it; the 69,120 facets of sd^3 of the
 # 3-sphere count 1,036,800, the 2,880 of sd^2 count 43,200.

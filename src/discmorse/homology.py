@@ -4,7 +4,9 @@ All arithmetic is exact over arbitrary-precision integers. The Smith
 routine picks the nonzero entry of minimal absolute value as pivot to
 curb coefficient growth and can track the unimodular row and column
 transforms together with their inverses, which is what cycle
-classification needs.
+classification needs. Every step, also the one that makes each diagonal
+entry divide the next, is an elementary operation: a swap, a negation,
+or adding a multiple of one row or column to another.
 """
 
 from __future__ import annotations
@@ -13,15 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .chains import ChainComplex, Label, Matrix
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a - (a // b) * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 def _identity(n: int) -> Matrix:
@@ -113,28 +106,6 @@ class _SmithWorker:
             for k in range(self.n):
                 vsrc[k] -= c * vdst[k]
 
-    def row_combine(self, s: int, u: int, a11: int, a12: int, a21: int, a22: int) -> None:
-        """Rows (s, u) <- (a11*s + a12*u, a21*s + a22*u); determinant must be 1."""
-        rs, ru = self.rows[s], self.rows[u]
-        new_s: dict[int, int] = {}
-        new_u: dict[int, int] = {}
-        for j in rs.keys() | ru.keys():
-            a, b = rs.get(j, 0), ru.get(j, 0)
-            vs, vu = a11 * a + a12 * b, a21 * a + a22 * b
-            if vs:
-                new_s[j] = vs
-            if vu:
-                new_u[j] = vu
-        self.rows[s], self.rows[u] = new_s, new_u
-        if self.track:
-            us, uu = self.U[s], self.U[u]
-            self.U[s] = [a11 * a + a12 * b for a, b in zip(us, uu)]
-            self.U[u] = [a21 * a + a22 * b for a, b in zip(us, uu)]
-            for row in self.U_inv:
-                a, b = row[s], row[u]
-                row[s] = a22 * a - a21 * b
-                row[u] = -a12 * a + a11 * b
-
     # --- the reduction itself ---
 
     def _find_pivot(self, t: int) -> tuple[int, int] | None:
@@ -177,12 +148,13 @@ class _SmithWorker:
             return
 
     def _fix_divisibility(self, s: int, u: int) -> None:
-        # both rows are diagonal singletons; replace (d_s, d_u) by (gcd, lcm)
-        a, b = self.rows[s][s], self.rows[u][u]
-        g, x, y = _xgcd(a, b)
+        # both rows are diagonal singletons; clearing d_u, added to column s,
+        # runs Euclid's algorithm and leaves (gcd, +-lcm) on the diagonal
         self.col_add(s, u, 1)
-        self.row_combine(s, u, x, y, -(b // g), a // g)
-        self.col_add(u, s, -(y * b) // g)
+        self._clear_position(s)
+        for t in (s, u):
+            if self.rows[t][t] < 0:
+                self.row_neg(t)
 
     def run(self) -> int:
         t = 0
@@ -301,10 +273,10 @@ class HomologySummary:
 
 def _rows(C: ChainComplex, k: int) -> list[dict[int, int]]:
     """Smith worker rows of C's degree-k boundary, keys ascending."""
-    index = {sigma: i for i, sigma in enumerate(C.basis(k - 1))}
+    index = C._bases.get(k - 1, {})
     rows: list[dict[int, int]] = [{} for _ in index]
-    for j, tau in enumerate(C.basis(k)):
-        for sigma, v in C.column(k, tau).items():
+    for j, tau in enumerate(C._bases[k]):
+        for sigma, v in C._columns.get(k, {}).get(tau, {}).items():
             rows[index[sigma]][j] = v
     return rows
 
@@ -359,31 +331,31 @@ def cycle_class(C: ChainComplex, k: int, z: Mapping[Label, int]) -> CycleClass:
     """
     if k < 0 or k > C.top_dim:
         raise ValueError(f"degree {k} out of range")
-    basis = C.basis(k)
-    index = {lab: i for i, lab in enumerate(basis)}
-    zv = [0] * len(basis)
+    index = C._bases[k]
+    zv = [0] * len(index)
     for lab, coeff in z.items():
         if lab not in index:
             raise ValueError(f"{lab!r} is not a degree-{k} generator")
         zv[index[lab]] = coeff
 
     # in degree 0 the boundary has no rows, so V_inv is the identity
-    s = _smith(_rows(C, k), len(basis), transforms=True)
+    s = _smith(_rows(C, k), len(index), transforms=True)
     rank = s.rank
     vinv = s.V_inv
     w_full = [
-        sum(vinv[a][i] * zv[i] for i in range(len(basis)) if zv[i])
-        for a in range(len(basis))
+        sum(vinv[a][i] * zv[i] for i in range(len(index)) if zv[i])
+        for a in range(len(index))
     ]
     if any(w_full[:rank]):
         raise ValueError("z is not a cycle")
     w = w_full[rank:]
 
     # the boundaries from degree k+1, written in kernel coordinates
-    ker_dim = len(basis) - rank
+    ker_dim = len(index) - rank
     B: list[dict[int, int]] = [{} for _ in range(ker_dim)]
-    for j, tau in enumerate(C.basis(k + 1)):
-        col = [(index[sigma], v) for sigma, v in C.column(k + 1, tau).items()]
+    above = C._columns.get(k + 1, {})
+    for j, tau in enumerate(C._bases.get(k + 1, ())):
+        col = [(index[sigma], v) for sigma, v in above.get(tau, {}).items()]
         for a in range(ker_dim):
             acc = sum(vinv[rank + a][i] * v for i, v in col)
             if acc:

@@ -13,7 +13,7 @@ import random
 from typing import Iterable
 
 from .chains import ChainComplex
-from .complexes import Cell, Orientation, SimplicialComplex
+from .complexes import Cell, Orientation, SimplicialComplex, _check_orientation
 from .errors import NotMorseError
 from .homology import HomologySummary, homology
 from .matchings import Matching, _acyclic, _field, critical_cells, random_morse_matching
@@ -71,9 +71,10 @@ def thom_smale_complex(
 
     Bases are the critical cells in lexicographic order per dimension,
     differentials the signed V-path counts. Construction fails loudly if
-    the matching is not Morse or the resulting boundaries do not square to
-    zero.
+    the matching is not Morse, an orientation value is not +1 or -1, or
+    the resulting boundaries do not square to zero.
     """
+    _check_orientation(orientation)
     cells, id_of, faces, _ = X.index()
     v = _field(id_of, M)
     if not _acyclic(faces, v):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discmorse import corpus
 from discmorse.chains import ChainComplex, chain_complex
 from discmorse.complexes import SimplicialComplex, incidence
 from discmorse.elimination import eliminate_sequence
@@ -27,6 +28,22 @@ def test_boundary_matrix_frozen_for_the_triangle():
 def test_boundary_matrix_respects_orientation():
     flipped = chain_complex(triangle(), orientation={(0, 1, 2): -1}).boundary(2)
     assert flipped == [[-1], [1], [-1]]
+
+
+@pytest.mark.parametrize("entry", ["chain_complex", "thom_smale_complex"])
+def test_orientation_values_other_than_one_are_refused(entry):
+    X = corpus.torus()
+    M = random_morse_matching(X, random.Random(0))
+    build = {
+        "chain_complex": lambda o: chain_complex(X, o),
+        "thom_smale_complex": lambda o: thom_smale_complex(X, M, o),
+    }[entry]
+    # doubling every edge keeps d o d = 0 but changes the homology
+    with pytest.raises(ValueError, match=r"orientation of \(0, 1\) is 2, not \+1 or -1"):
+        build({e: 2 for e in X.cells(1)})
+    with pytest.raises(ValueError, match=r"orientation of \(0, 1, 3\) is 0, not"):
+        build({(0, 1): -1, (0, 1, 3): 0})
+    assert build({(0, 1): -1, (0, 1, 3): 1}) == build(reorient(X, [(0, 1)]))
 
 
 def test_chain_complex_wraps_a_simplicial_complex():
@@ -121,6 +138,12 @@ def test_sparse_storage_agrees_with_the_incidence_oracle(case):
             [incidence(tau, sigma, orientation) for tau in X.cells(k)]
             for sigma in X.cells(k - 1)
         ]
+    # chain_complex skips the constructor's checks; its parts pass them
+    checked = ChainComplex(
+        {k: C.basis(k) for k in range(C.top_dim + 1)},
+        {k: {tau: C.column(k, tau) for tau in C.basis(k)} for k in range(1, C.top_dim + 1)},
+    )
+    assert checked == C
     T = thom_smale_complex(X, M, orientation)
     assert eliminate_sequence(C, M) == T
     assert homology(T) == homology(C)

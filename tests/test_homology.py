@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from discmorse.complexes import SimplicialComplex, incidence
 from discmorse.homology import (
     CycleClass,
     HomologySummary,
+    _SmithWorker,
     cycle_class,
     homology,
     in_column_span,
@@ -85,6 +87,63 @@ def test_snf_without_transforms_has_no_matrices():
     assert s.diagonal == (2,)
     with pytest.raises(ValueError):
         snf_is_valid([[4, 2]], s)
+
+
+# (diagonal, U, V, U_inv, V_inv), computed before the divisibility step
+# became a column addition followed by the pivot clearing
+PINNED_DIAGONAL_TRANSFORMS = {
+    (2, 3): (
+        (1, 6), [[-1, 1], [-3, 2]], [[1, -3], [1, -2]],
+        [[2, -1], [3, -1]], [[-2, 3], [-1, 1]],
+    ),
+    (4, 6): (
+        (2, 12), [[-1, 1], [-3, 2]], [[1, -3], [1, -2]],
+        [[2, -1], [3, -1]], [[-2, 3], [-1, 1]],
+    ),
+    (6, 10, 15): (
+        (1, 30, 30),
+        [[-14, 7, 1], [-5, 3, 0], [-30, 15, 2]],
+        [[1, 5, -15], [1, 6, -15], [1, 0, -14]],
+        [[6, 1, -3], [10, 2, -5], [15, 0, -7]],
+        [[-84, 70, 15], [-1, 1, 0], [-6, 5, 1]],
+    ),
+}
+
+
+@pytest.mark.parametrize("d", sorted(PINNED_DIAGONAL_TRANSFORMS))
+def test_divisibility_step_transforms_are_pinned(d):
+    A = [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+    s = smith_normal_form(A)
+    assert (s.diagonal, s.U, s.V, s.U_inv, s.V_inv) == PINNED_DIAGONAL_TRANSFORMS[d]
+    assert snf_is_valid(A, s)
+
+
+def test_divisibility_step_transforms_match_a_pinned_digest(monkeypatch):
+    # the seeded matrices that need the divisibility step, and a SHA-256 over
+    # their diagonals and four transforms, pinned before the step was
+    # rewritten: the transforms give cycle_class coordinates
+    fixes = []
+    step = _SmithWorker._fix_divisibility
+
+    def counted(self, s, u):
+        fixes.append((s, u))
+        step(self, s, u)
+
+    monkeypatch.setattr(_SmithWorker, "_fix_divisibility", counted)
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    needed = 0
+    for _ in range(3000):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        bound = rng.choice([2, 5, 12, 40])
+        A = [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(m)]
+        before = len(fixes)
+        s = smith_normal_form(A, n_cols=n)
+        if len(fixes) > before:
+            needed += 1
+            digest.update(repr((A, s.diagonal, s.U, s.V, s.U_inv, s.V_inv)).encode())
+    assert needed == 106
+    assert digest.hexdigest() == "20b7fc42fd77818c9110e3e64407b529662013ca12d423e00e794884e6d36192"
 
 
 def _sparse_rows(A):
