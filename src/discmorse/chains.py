@@ -118,8 +118,8 @@ def chain_complex(
     """The simplicial chain complex of X with lexicographic cell bases. The
     faces come from ``X.index()``, face position j with the sign (-1)**j
     times any flips, so the boundaries square to zero and skip the checks.
-    Raises ValueError for an orientation value other than +1 or -1."""
-    _check_orientation(orientation)
+    Raises ValueError unless the orientation maps cells of X to +1 or -1."""
+    _check_orientation(X, orientation)
     o = orientation or {}
     cells, _, faces, _ = X.index()
     bases = {k: {c: i for i, c in enumerate(X.cells(k))} for k in range(X.dim + 1)}

@@ -157,9 +157,9 @@ def _differential_lines(C: ChainComplex, table: SymbolTable) -> list[str]:
     """One "tau ; sigma ; coefficient" line per nonzero boundary entry."""
     lines = []
     for k in range(1, C.top_dim + 1):
-        row = {sigma: i for i, sigma in enumerate(C.basis(k - 1))}
-        for tau in C.basis(k):
-            col = C.column(k, tau)
+        row, columns = C._bases[k - 1], C._columns[k]
+        for tau in C._bases[k]:
+            col = columns.get(tau, {})
             for sigma in sorted(col, key=row.__getitem__):
                 lines.append(
                     f"{table.decode_cell(tau)} ; {table.decode_cell(sigma)} ; {col[sigma]}"

@@ -20,9 +20,11 @@ Cell = tuple[int, ...]
 Orientation = Mapping[Cell, int]
 
 
-def _check_orientation(orientation: Orientation | None) -> None:
-    """Raise ValueError unless every value of the table is +1 or -1."""
+def _check_orientation(X: SimplicialComplex, orientation: Orientation | None) -> None:
+    """Raise ValueError unless the table maps cells of X to +1 or -1."""
     for cell, sign in (orientation or {}).items():
+        if cell not in X:
+            raise ValueError(f"orientation names {cell}, which is not a cell of X")
         if sign not in (1, -1):
             raise ValueError(f"orientation of {cell} is {sign!r}, not +1 or -1")
 

@@ -4,9 +4,9 @@ All arithmetic is exact over arbitrary-precision integers. The Smith
 routine picks the nonzero entry of minimal absolute value as pivot to
 curb coefficient growth and can track the unimodular row and column
 transforms together with their inverses, which is what cycle
-classification needs. Every step, also the one that makes each diagonal
-entry divide the next, is an elementary operation: a swap, a negation,
-or adding a multiple of one row or column to another.
+classification needs. Every step is an elementary operation: a swap, a
+negation, or adding a multiple of one row or column to another, where an
+added column is nonzero on its diagonal alone and so touches one row.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ def _identity(n: int) -> Matrix:
 
 
 class _SmithWorker:
-    """Row-sparse elimination of owned ``{column: entry}`` row dicts, with
-    optional dense transform tracking."""
+    """Row-sparse elimination of owned ``{column: entry}`` row dicts, which
+    never store zeros, with optional dense transforms. Column src of
+    ``col_add`` is nonzero in row src alone: the row pass has cleared it
+    below the pivot (rows above are diagonal), or the matrix is diagonal."""
 
     def __init__(self, rows: list[dict[int, int]], n_cols: int, transforms: bool):
         self.m = len(rows)
@@ -88,17 +90,15 @@ class _SmithWorker:
                 row[src] -= c * row[dst]
 
     def col_add(self, dst: int, src: int, c: int) -> None:
-        """Column dst += c * column src."""
+        """Column dst += c * column src, which is nonzero in row src alone."""
         if not c:
             return
-        for row in self.rows:
-            v = row.get(src)
-            if v is not None:
-                w = row.get(dst, 0) + c * v
-                if w:
-                    row[dst] = w
-                else:
-                    row.pop(dst, None)
+        row = self.rows[src]
+        w = row.get(dst, 0) + c * row[src]
+        if w:
+            row[dst] = w
+        else:
+            row.pop(dst, None)
         if self.track:
             for row in self.V:
                 row[dst] += c * row[src]
@@ -126,24 +126,23 @@ class _SmithWorker:
     def _clear_position(self, t: int) -> None:
         while True:
             p = self.rows[t][t]
+            leftovers = []  # (|remainder|, row) below the pivot
             for i in range(t + 1, self.m):
                 v = self.rows[i].get(t)
                 if v:
                     self.row_add(i, t, -(v // p))
-            leftovers = [i for i in range(t + 1, self.m) if self.rows[i].get(t)]
+                    if v % p:
+                        leftovers.append((abs(v % p), i))
             if leftovers:
-                i = min(leftovers, key=lambda i: (abs(self.rows[i][t]), i))
-                self.row_swap(t, i)
+                self.row_swap(t, min(leftovers)[1])
                 continue
             for j in [j for j in self.rows[t] if j != t]:
-                v = self.rows[t][j]
-                q = v // p
+                q = self.rows[t][j] // p
                 if q:
                     self.col_add(j, t, -q)
-            leftovers = [j for j in self.rows[t] if j != t and self.rows[t][j]]
+            leftovers = [(abs(v), j) for j, v in self.rows[t].items() if j != t]
             if leftovers:
-                j = min(leftovers, key=lambda j: (abs(self.rows[t][j]), j))
-                self.col_swap(t, j)
+                self.col_swap(t, min(leftovers)[1])
                 continue
             return
 

@@ -2,7 +2,7 @@
 
 Facet files: one facet per line, whitespace-separated vertex tokens,
 ``#`` starts a comment, blank lines are skipped. When every token is a
-non-negative integer the tokens are used as vertex ids directly;
+string of ASCII digits the tokens are used as vertex ids directly;
 otherwise the sorted distinct tokens are numbered 0, 1, ... and that
 symbol table travels with the complex.
 
@@ -35,12 +35,11 @@ class SymbolTable:
     def encode(self, token: str, line: int | None = None) -> int:
         if self.names is None:
             try:
-                v = int(token)
-            except ValueError:
-                raise ParseError(f"unknown vertex token {token!r}", line) from None
-            if v < 0:
-                raise ParseError(f"negative vertex id {token!r}", line)
-            return v
+                if _is_numeric(token):
+                    return int(token)
+            except ValueError:  # more digits than int() converts
+                pass
+            raise ParseError(f"unknown vertex token {token!r}", line)
         try:
             return self._index[token]
         except KeyError:
@@ -65,7 +64,7 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _is_numeric(token: str) -> bool:
-    return token.isdigit()
+    return token.isascii() and token.isdigit()
 
 
 def parse_complex(text: str) -> tuple[SimplicialComplex, SymbolTable]:

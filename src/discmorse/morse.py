@@ -71,10 +71,10 @@ def thom_smale_complex(
 
     Bases are the critical cells in lexicographic order per dimension,
     differentials the signed V-path counts. Construction fails loudly if
-    the matching is not Morse, an orientation value is not +1 or -1, or
-    the resulting boundaries do not square to zero.
+    the matching is not Morse, the orientation maps a cell outside X or
+    to a value other than +1 or -1, or the boundaries do not square to 0.
     """
-    _check_orientation(orientation)
+    _check_orientation(X, orientation)
     cells, id_of, faces, _ = X.index()
     v = _field(id_of, M)
     if not _acyclic(faces, v):

@@ -46,6 +46,20 @@ def test_orientation_values_other_than_one_are_refused(entry):
     assert build({(0, 1): -1, (0, 1, 3): 1}) == build(reorient(X, [(0, 1)]))
 
 
+@pytest.mark.parametrize("entry", ["chain_complex", "thom_smale_complex"])
+def test_orientation_cells_outside_the_complex_are_refused(entry):
+    X = corpus.torus()
+    M = random_morse_matching(X, random.Random(0))
+    build = {
+        "chain_complex": lambda o: chain_complex(X, o),
+        "thom_smale_complex": lambda o: thom_smale_complex(X, M, o),
+    }[entry]
+    with pytest.raises(ValueError, match=r"\(0, 99\), which is not a cell of X"):
+        build({(0, 99): -1})
+    with pytest.raises(ValueError, match=r"\(5, 6, 7, 8\), which is not a cell of X"):
+        build({(0, 1): -1, (5, 6, 7, 8): -1})
+
+
 def test_chain_complex_wraps_a_simplicial_complex():
     C = chain_complex(triangle())
     assert C.top_dim == 2

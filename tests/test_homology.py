@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from discmorse import corpus
 from discmorse.chains import chain_complex
 from discmorse.complexes import SimplicialComplex, incidence
 from discmorse.homology import (
@@ -144,6 +145,35 @@ def test_divisibility_step_transforms_match_a_pinned_digest(monkeypatch):
             digest.update(repr((A, s.diagonal, s.U, s.V, s.U_inv, s.V_inv)).encode())
     assert needed == 106
     assert digest.hexdigest() == "20b7fc42fd77818c9110e3e64407b529662013ca12d423e00e794884e6d36192"
+
+
+def test_col_add_only_ever_adds_a_column_nonzero_in_its_own_row(monkeypatch):
+    # col_add updates row src alone, which is right only while column src
+    # has no other nonzero; check that at every call, before it runs
+    calls = []
+    add = _SmithWorker.col_add
+
+    def checked(self, dst, src, c):
+        calls.append(self.track)
+        others = [i for i, row in enumerate(self.rows) if i != src and row.get(src)]
+        assert not others and self.rows[src].get(src), (src, others)
+        add(self, dst, src, c)
+
+    monkeypatch.setattr(_SmithWorker, "col_add", checked)
+    rng = random.Random(12)
+    for trial in range(2000):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        bound = rng.choice([2, 5, 12, 40])
+        if trial % 4:
+            A = [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(m)]
+        else:  # diagonal, so the divisibility step runs on most of them
+            A = [[rng.randrange(-bound, bound + 1) if i == j else 0 for j in range(n)]
+                 for i in range(m)]
+        smith_normal_form(A, n_cols=n, transforms=trial % 8 < 4)
+    for name in ("torus", "projective_plane", "klein_bottle", "sphere2"):
+        X = corpus.load(name)
+        homology(chain_complex(X))
+    assert {True, False} <= set(calls) and len(calls) > 1000
 
 
 def _sparse_rows(A):

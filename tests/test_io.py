@@ -78,6 +78,25 @@ def test_symbol_table_rejects_unknown_tokens():
         numeric.encode("-3")
 
 
+def test_numeric_vertex_tokens_are_ascii_digits_only():
+    # other Unicode digits make a file symbolic, like any other word
+    for text, names in (("\u0661 1\n", ("1", "\u0661")), ("\u00b2 1\n", ("1", "\u00b2"))):
+        X, table = parse_complex(text)
+        assert table.names == names and X.facets() == ((0, 1),)
+    X, table = parse_complex("0 1\n")
+    assert table.numeric
+    for token in ("+0", "0_1", "\u0660", " 0", "-0"):
+        with pytest.raises(ParseError, match="unknown vertex token"):
+            table.encode(token)
+    with pytest.raises(ParseError, match="unknown vertex token"):
+        parse_matching("+0 ; 0 1\n", table)
+    with pytest.raises(ParseError, match="unknown vertex token"):
+        parse_chain("0_1 ; 0\n", table)
+    assert parse_matching("0 ; 0 1\n", table) == parse_matching("00 ; 0 01\n", table)
+    with pytest.raises(ParseError, match="unknown vertex token"):  # past int()'s limit
+        parse_complex("1" * 5000 + " 1\n")
+
+
 def test_parse_matching():
     _, table = parse_complex("0 1 2\n")
     pairs = parse_matching("0 ; 0 1\n1 ; 1 2  # matched\n", table)
