@@ -29,9 +29,11 @@ def _check_orientation(X: SimplicialComplex, orientation: Orientation | None) ->
             raise ValueError(f"orientation of {cell} is {sign!r}, not +1 or -1")
 
 
-# Upper bound on the faces from_facets may expand, counted with repeats.
-# One 22-vertex facet exceeds it; the 69,120 facets of sd^3 of the
-# 3-sphere count 1,036,800, the 2,880 of sd^2 count 43,200.
+# Upper bound on the faces from_facets may expand, counted with repeats,
+# and on the cells of a barycentric subdivision. One 22-vertex facet
+# exceeds it; the 69,120 facets of sd^3 of the 3-sphere count 1,036,800,
+# the 2,880 of sd^2 count 43,200. sd^2 of the 3-sphere has 12,600 cells,
+# sd of an 11-vertex facet would have 3,245,265,145.
 MAX_FACET_CELLS = 1 << 21
 
 
@@ -227,24 +229,22 @@ def barycentric_subdivision(X: SimplicialComplex) -> Subdivision:
     Vertices of the result are barycenters, one per cell of X, numbered by
     (dimension, lexicographic) rank so that every chain of faces maps to an
     increasing vertex tuple. Cells of the result are the chains
-    sigma_0 < sigma_1 < ... of the face poset of X.
+    sigma_0 < sigma_1 < ... of the face poset of X. When there would be
+    more than MAX_FACET_CELLS of them, ParseError is raised before any is
+    built.
     """
+    # a k-cell ends a(k) = 1 + sum_{j<k} C(k+1, j+1) a(j) chains of faces
+    a: list[int] = []
+    for k in range(X.dim + 1):
+        a.append(1 + sum(math.comb(k + 1, j + 1) * a[j] for j in range(k)))
+    if sum(len(X.cells(k)) * a[k] for k in range(X.dim + 1)) > MAX_FACET_CELLS:
+        raise ParseError(f"subdivision has more than {MAX_FACET_CELLS} cells")
     ordered = list(X.all_cells())
     vid = {c: i for i, c in enumerate(ordered)}
-    memo: dict[Cell, list[tuple[int, ...]]] = {}
-
-    def chains_to(c: Cell) -> list[tuple[int, ...]]:
-        got = memo.get(c)
-        if got is None:
-            got = [(vid[c],)]
-            for f in proper_faces(c):
-                got.extend(ch + (vid[c],) for ch in chains_to(f))
-            memo[c] = got
-        return got
-
-    all_chains: set[Cell] = set()
+    ends: dict[Cell, list[Cell]] = {}  # faces come first in ordered
     for c in ordered:
-        all_chains.update(chains_to(c))
+        ends[c] = [(vid[c],)] + [ch + (vid[c],) for f in proper_faces(c) for ch in ends[f]]
+    all_chains = {ch for chains in ends.values() for ch in chains}
     # chains are increasing vertex tuples, and every sub-chain of a chain is
     # a chain: the constructor's checks would pass on every cell
     sd = SimplicialComplex.__new__(SimplicialComplex)

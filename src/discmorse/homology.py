@@ -7,6 +7,8 @@ transforms together with their inverses, which is what cycle
 classification needs. Every step is an elementary operation: a swap, a
 negation, or adding a multiple of one row or column to another, where an
 added column is nonzero on its diagonal alone and so touches one row.
+Columns keep their keys and a swap permutes their positions alone, so
+it touches no row, and V is put in position order once at the end.
 """
 
 from __future__ import annotations
@@ -22,15 +24,20 @@ def _identity(n: int) -> Matrix:
 
 
 class _SmithWorker:
-    """Row-sparse elimination of owned ``{column: entry}`` row dicts, which
-    never store zeros, with optional dense transforms. Column src of
-    ``col_add`` is nonzero in row src alone: the row pass has cleared it
+    """Row-sparse elimination of owned row dicts, which never store zeros,
+    with optional dense transforms. The rows keep the column keys they came
+    with: ``col`` maps positions to keys and ``pos`` keys to positions, so a
+    column swap moves two entries of each and no row; V and V_inv are kept
+    on keys too, until ``_smith`` puts them in position order. Column src
+    of ``col_add`` is nonzero in row src alone: the row pass has cleared it
     below the pivot (rows above are diagonal), or the matrix is diagonal."""
 
     def __init__(self, rows: list[dict[int, int]], n_cols: int, transforms: bool):
         self.m = len(rows)
         self.n = n_cols
         self.rows = rows
+        self.col = list(range(n_cols))
+        self.pos = list(range(n_cols))
         self.track = transforms
         self.U = self.U_inv = self.V = self.V_inv = None
         if transforms:
@@ -39,7 +46,10 @@ class _SmithWorker:
             self.V = _identity(self.n)
             self.V_inv = _identity(self.n)
 
-    # --- elementary operations, mirrored on the transforms ---
+    def _diag(self, t: int) -> int:
+        return self.rows[t][self.col[t]]
+
+    # --- elementary operations; all but the column swap mirrored on the transforms ---
 
     def row_swap(self, i1: int, i2: int) -> None:
         if i1 == i2:
@@ -51,18 +61,9 @@ class _SmithWorker:
                 row[i1], row[i2] = row[i2], row[i1]
 
     def col_swap(self, j1: int, j2: int) -> None:
-        if j1 == j2:
-            return
-        for row in self.rows:
-            a, b = row.pop(j1, None), row.pop(j2, None)
-            if b is not None:
-                row[j1] = b
-            if a is not None:
-                row[j2] = a
-        if self.track:
-            for row in self.V:
-                row[j1], row[j2] = row[j2], row[j1]
-            self.V_inv[j1], self.V_inv[j2] = self.V_inv[j2], self.V_inv[j1]
+        col, pos = self.col, self.pos
+        col[j1], col[j2] = col[j2], col[j1]
+        pos[col[j1]], pos[col[j2]] = j1, j2
 
     def row_neg(self, i: int) -> None:
         self.rows[i] = {j: -v for j, v in self.rows[i].items()}
@@ -93,16 +94,17 @@ class _SmithWorker:
         """Column dst += c * column src, which is nonzero in row src alone."""
         if not c:
             return
+        kd, ks = self.col[dst], self.col[src]
         row = self.rows[src]
-        w = row.get(dst, 0) + c * row[src]
+        w = row.get(kd, 0) + c * row[ks]
         if w:
-            row[dst] = w
+            row[kd] = w
         else:
-            row.pop(dst, None)
+            row.pop(kd, None)
         if self.track:
             for row in self.V:
-                row[dst] += c * row[src]
-            vsrc, vdst = self.V_inv[src], self.V_inv[dst]
+                row[kd] += c * row[ks]
+            vsrc, vdst = self.V_inv[ks], self.V_inv[kd]
             for k in range(self.n):
                 vsrc[k] -= c * vdst[k]
 
@@ -110,25 +112,25 @@ class _SmithWorker:
 
     def _find_pivot(self, t: int) -> tuple[int, int] | None:
         best: tuple[int, int, int] | None = None  # (|v|, i, j)
+        pos = self.pos
         for i in range(t, self.m):
             row = self.rows[i]
             if not row:
                 continue
-            a, j = min((abs(v), j) for j, v in row.items())
+            a, j = min((abs(v), pos[k]) for k, v in row.items())
             if best is None or (a, i, j) < best:
                 best = (a, i, j)
             if a == 1:
                 break
-        if best is None:
-            return None
-        return best[1], best[2]
+        return None if best is None else best[1:]
 
     def _clear_position(self, t: int) -> None:
         while True:
-            p = self.rows[t][t]
+            kt = self.col[t]
+            p = self.rows[t][kt]
             leftovers = []  # (|remainder|, row) below the pivot
             for i in range(t + 1, self.m):
-                v = self.rows[i].get(t)
+                v = self.rows[i].get(kt)
                 if v:
                     self.row_add(i, t, -(v // p))
                     if v % p:
@@ -136,15 +138,16 @@ class _SmithWorker:
             if leftovers:
                 self.row_swap(t, min(leftovers)[1])
                 continue
-            for j in [j for j in self.rows[t] if j != t]:
-                q = self.rows[t][j] // p
+            # these additions change row t alone and commute
+            row = self.rows[t]
+            for k in [k for k in row if k != kt]:
+                q = row[k] // p
                 if q:
-                    self.col_add(j, t, -q)
-            leftovers = [(abs(v), j) for j, v in self.rows[t].items() if j != t]
-            if leftovers:
-                self.col_swap(t, min(leftovers)[1])
-                continue
-            return
+                    self.col_add(self.pos[k], t, -q)
+            leftovers = [(abs(v), self.pos[k]) for k, v in row.items() if k != kt]
+            if not leftovers:
+                return
+            self.col_swap(t, min(leftovers)[1])
 
     def _fix_divisibility(self, s: int, u: int) -> None:
         # both rows are diagonal singletons; clearing d_u, added to column s,
@@ -152,34 +155,28 @@ class _SmithWorker:
         self.col_add(s, u, 1)
         self._clear_position(s)
         for t in (s, u):
-            if self.rows[t][t] < 0:
+            if self._diag(t) < 0:
                 self.row_neg(t)
 
     def run(self) -> int:
         t = 0
-        limit = min(self.m, self.n)
-        while t < limit:
-            piv = self._find_pivot(t)
-            if piv is None:
-                break
+        while t < min(self.m, self.n) and (piv := self._find_pivot(t)) is not None:
             self.row_swap(t, piv[0])
             self.col_swap(t, piv[1])
             self._clear_position(t)
             t += 1
         rank = t
         for s in range(rank):
-            if self.rows[s][s] < 0:
+            if self._diag(s) < 0:
                 self.row_neg(s)
-        s = 0
-        while s < rank - 1:
-            d = self.rows[s][s]
-            bad = next(
-                (u for u in range(s + 1, rank) if self.rows[u][u] % d), None
-            )
-            if bad is None:
-                s += 1
-            else:
-                self._fix_divisibility(s, bad)
+        # a step at (s, u) leaves gcd at s, which divides every entry before
+        # u too, and lcm at u: the scan goes on from u, and ends at a 1
+        for s in range(rank - 1):
+            u = s + 1
+            while u < rank and self._diag(s) != 1:
+                if self._diag(u) % self._diag(s):
+                    self._fix_divisibility(s, u)
+                u += 1
         return rank
 
 
@@ -225,9 +222,10 @@ def _smith(rows: list[dict[int, int]], n_cols: int, transforms: bool) -> SmithNo
     m = len(rows)
     worker = _SmithWorker(rows, n_cols, transforms)
     rank = worker.run()
-    diag = tuple(
-        worker.rows[t][t] if t < rank else 0 for t in range(min(m, n_cols))
-    )
+    diag = tuple(worker._diag(t) if t < rank else 0 for t in range(min(m, n_cols)))
+    if transforms:  # from column keys to positions
+        worker.V = [[row[k] for k in worker.col] for row in worker.V]
+        worker.V_inv = [worker.V_inv[k] for k in worker.col]
     return SmithNormalForm(
         (m, n_cols), diag, rank, worker.U, worker.V, worker.U_inv, worker.V_inv
     )

@@ -6,9 +6,10 @@ from importlib import resources
 
 import pytest
 
-from discmorse import cli, corpus
+from discmorse import cli, complexes, corpus
 from discmorse.chains import chain_complex
 from discmorse.cli import main
+from discmorse.complexes import barycentric_subdivision
 from discmorse.elimination import all_orders_agree
 from discmorse.homology import homology
 from discmorse.io import format_complex, format_matching
@@ -288,6 +289,18 @@ def test_subdivide_report(tmp_path, capsys):
     assert "euler_preserved: True\n" in out
     assert "  0 1 2 ; 6\n" in out  # the triangle's barycenter gets the last id
     assert "facets:" in out
+
+
+def test_subdivide_refuses_a_subdivision_over_budget(tmp_path, capsys, monkeypatch):
+    # refused before building: sd torus subdivides to 1,512 cells, sd S^2 to 434
+    monkeypatch.setattr(complexes, "MAX_FACET_CELLS", 1000)
+    sd_torus = barycentric_subdivision(corpus.torus()).complex
+    code, out, err = run(capsys, ["subdivide", write(tmp_path, "t.facets", format_complex(sd_torus))])
+    assert code == 2 and out == ""
+    assert err == "error: subdivision has more than 1000 cells\n"
+    sd_sphere = barycentric_subdivision(corpus.sphere(2)).complex
+    code, out, _ = run(capsys, ["subdivide", write(tmp_path, "s.facets", format_complex(sd_sphere))])
+    assert code == 0 and "subdivision_cells: 74 216 144\n" in out
 
 
 def test_product_report_and_round_trip(tmp_path, capsys):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from discmorse import corpus
+from discmorse import complexes, corpus
 from discmorse.complexes import (
     MAX_FACET_CELLS,
     SimplicialComplex,
@@ -132,6 +132,19 @@ def test_barycentric_subdivision_passes_the_checked_constructor(name):
     assert [sd.cells(k) for k in range(sd.dim + 1)] == [
         checked.cells(k) for k in range(checked.dim + 1)
     ]
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_barycentric_subdivision_refuses_more_cells_than_the_budget(monkeypatch, name):
+    # the count made before building is exact: sd^2 X fits a budget of its
+    # own size and is refused by one less
+    sd1 = barycentric_subdivision(corpus.load(name)).complex
+    n = barycentric_subdivision(sd1).complex.n_cells
+    monkeypatch.setattr(complexes, "MAX_FACET_CELLS", n)
+    assert barycentric_subdivision(sd1).complex.n_cells == n
+    monkeypatch.setattr(complexes, "MAX_FACET_CELLS", n - 1)
+    with pytest.raises(ParseError, match=f"subdivision has more than {n - 1} cells"):
+        barycentric_subdivision(sd1)
 
 
 def test_product_triangulation_square_and_prism():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import random
@@ -155,8 +156,9 @@ def test_col_add_only_ever_adds_a_column_nonzero_in_its_own_row(monkeypatch):
 
     def checked(self, dst, src, c):
         calls.append(self.track)
-        others = [i for i, row in enumerate(self.rows) if i != src and row.get(src)]
-        assert not others and self.rows[src].get(src), (src, others)
+        key = self.col[src]
+        others = [i for i, row in enumerate(self.rows) if i != src and row.get(key)]
+        assert not others and self.rows[src].get(key), (src, others)
         add(self, dst, src, c)
 
     monkeypatch.setattr(_SmithWorker, "col_add", checked)
@@ -174,6 +176,48 @@ def test_col_add_only_ever_adds_a_column_nonzero_in_its_own_row(monkeypatch):
         X = corpus.load(name)
         homology(chain_complex(X))
     assert {True, False} <= set(calls) and len(calls) > 1000
+
+
+def test_col_swap_moves_no_row_and_no_transform(monkeypatch):
+    # the rows keep their column keys and V, V_inv are kept on keys: a
+    # column swap only permutes positions
+    calls = []
+    swap = _SmithWorker.col_swap
+
+    def checked(self, j1, j2):
+        rows = [dict(row) for row in self.rows]
+        transforms = copy.deepcopy((self.U, self.V, self.U_inv, self.V_inv))
+        swap(self, j1, j2)
+        calls.append(j1 != j2)
+        assert self.rows == rows
+        assert (self.U, self.V, self.U_inv, self.V_inv) == transforms
+
+    monkeypatch.setattr(_SmithWorker, "col_swap", checked)
+    rng = random.Random(13)
+    for trial in range(600):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        A = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
+        smith_normal_form(A, n_cols=n, transforms=trial % 2 == 0)
+    for name in ("torus", "projective_plane", "klein_bottle", "sphere2"):
+        homology(chain_complex(corpus.load(name)))
+    assert sum(calls) > 1000
+
+
+def test_divisibility_pass_is_linear_on_a_unit_diagonal():
+    # every diagonal entry is divisible by 1, so the pass scans nothing
+    # after a 1; a rescan from each s would read n**2 / 2 entries
+    reads = []
+    diag = _SmithWorker._diag
+
+    class Spy(_SmithWorker):
+        def _diag(self, t):
+            reads.append(t)
+            return diag(self, t)
+
+    n = 400
+    assert Spy([{i: 1} for i in range(n)], n, transforms=False).run() == n
+    # the sign pass and the divisibility pass read each entry once
+    assert len(reads) <= 2 * n
 
 
 def _sparse_rows(A):
