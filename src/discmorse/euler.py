@@ -16,7 +16,7 @@ from typing import Iterable
 from .complexes import Cell, CellIndex, SimplicialComplex
 from .errors import MatchingError
 from .homology import in_column_span
-from .matchings import Matching, Pair
+from .matchings import Matching, Pair, _field
 
 
 def complete_matching(H: CellIndex) -> Matching | None:
@@ -62,10 +62,12 @@ def complete_matching(H: CellIndex) -> Matching | None:
                 stack.append(owner)
         if not augmented:
             return None
-    # ids rank dimension first, so the smaller id of a pair is its face
-    return Matching(
-        (cells[min(odd, match_of[odd])], cells[max(odd, match_of[odd])]) for odd in odds
-    )
+    v = [-1] * len(cells)  # as from matchings._field
+    for odd in odds:
+        # ids rank dimension first, so the smaller id of a pair is its face
+        face, coface = sorted((odd, match_of[odd]))
+        v[face], v[coface] = coface, -2
+    return Matching._trusted(H, v)
 
 
 @dataclass(frozen=True)
@@ -117,12 +119,14 @@ class EulerChain:
 
 def euler_chain_from_matching(X: SimplicialComplex, M: Matching) -> EulerChain:
     """The Euler chain of a complete matching: one segment per pair,
-    oriented odd-dimensional cell -> even-dimensional cell."""
-    uncovered = [c for c in X.all_cells() if not M.covers(c)]
-    if uncovered:
-        raise MatchingError(
-            f"matching is not complete: {uncovered[0]} uncovered", cell=uncovered[0]
-        )
+    oriented odd-dimensional cell -> even-dimensional cell. MatchingError
+    names a pair with a cell outside X, or else the first cell M leaves
+    uncovered."""
+    H = X.index()
+    v = _field(H, M)
+    uncovered = next((H.cells[c] for c, t in enumerate(v) if t == -1), None)
+    if uncovered is not None:
+        raise MatchingError(f"matching is not complete: {uncovered} uncovered", cell=uncovered)
     segments = []
     for sigma, tau in M.pairs():
         if len(sigma) % 2 == 1:  # sigma even-dimensional, tau odd

@@ -8,6 +8,12 @@ closed V-path alternates between a k-cell and its matched (k+1)-coface, so
 only matched pairs can lie on one: the decision is one pass over the pairs
 (Kahn's algorithm on their V-digraph), and a depth-first search over the
 Hasse diagram runs only to find a witness once that pass finds a cycle.
+
+The algorithms work on cell ids. A matching keeps its id field on one
+cell index (see :func:`_field`) together with the verdict of that pass
+once it has run, so the collapses, the greedy and the complete matchings
+hand their fields on, and checking a matching and then building its
+Thom-Smale complex maps its pairs to ids once and runs the pass once.
 """
 
 from __future__ import annotations
@@ -33,7 +39,15 @@ class Matching:
     The constructor rejects pairs that are not codimension-1 face relations
     and pairs that share a cell. Use :func:`validate_matching` to get a
     report instead of an exception for candidate edge sets.
+
+    A matching also holds the cell index it was built or last checked on,
+    its id field there and, once :func:`is_morse`, :func:`closed_vpath` or
+    ``thom_smale_complex`` has decided it, whether it is Morse. That verdict
+    is never assumed from how the matching was built. Equality and hashing
+    see the pairs only.
     """
+
+    __slots__ = ("_up", "_down", "_on")
 
     def __init__(self, pairs: Iterable[Pair]):
         up: dict[Cell, Cell] = {}
@@ -53,6 +67,18 @@ class Matching:
             down[tau] = sigma
         self._up = up  # the pairs, face -> coface
         self._down = down
+        self._on: tuple[CellIndex, list[int], bool | None] | None = None  # (H, field, Morse)
+
+    @classmethod
+    def _trusted(cls, H: CellIndex, v: list[int]) -> "Matching":
+        """The matching whose field on H is v (as :func:`_field` gives it),
+        without checks: v must pair cells of H with cofaces, no cell twice."""
+        cells = H.cells
+        M = cls.__new__(cls)
+        M._up = {cells[c]: cells[t] for c, t in enumerate(v) if t >= 0}
+        M._down = {tau: sigma for sigma, tau in M._up.items()}
+        M._on = (H, v, None)
+        return M
 
     def v(self, sigma: Cell) -> Cell | None:
         """The discrete vector field: the matched coface, or None."""
@@ -128,13 +154,28 @@ def critical_cells(X: SimplicialComplex, M: Matching) -> dict[int, tuple[Cell, .
     }
 
 
-def _field(id_of: dict[Cell, int], M: Matching) -> list[int]:
-    """M on cell ids: the id of the matched coface, -2 for the upper cell
-    of a pair, -1 for a critical cell."""
+def _field(H: CellIndex, M: Matching) -> list[int]:
+    """M on the cell ids of H: the id of the matched coface, -2 for the
+    upper cell of a pair, -1 for a critical cell.
+
+    The field M holds for this very index is returned as it is; otherwise
+    it is computed and M keeps it in place of any other. A pair with a
+    cell outside H raises MatchingError.
+    """
+    if M._on is not None and M._on[0] is H:
+        return M._on[1]
+    id_of = H.id_of
     v = [-1] * len(id_of)
     for sigma, tau in M._up.items():
-        v[id_of[sigma]] = id_of[tau]
-        v[id_of[tau]] = -2
+        s, t = id_of.get(sigma), id_of.get(tau)
+        if s is None or t is None:
+            raise MatchingError(
+                f"pair {(sigma, tau)} names a cell outside the complex",
+                cell=sigma if s is None else tau,
+            )
+        v[s] = t
+        v[t] = -2
+    M._on = (H, v, None)
     return v
 
 
@@ -165,10 +206,21 @@ def _acyclic(faces: tuple[tuple[int, ...], ...], v: list[int]) -> bool:
     return removed == len(nodes)
 
 
+def _verdict(H: CellIndex, M: Matching) -> tuple[list[int], bool]:
+    """M's field on H and whether M is Morse. Kahn's pass runs at most once
+    per (M, H): M keeps its verdict with the field."""
+    v = _field(H, M)
+    morse = M._on[2]
+    if morse is None:
+        morse = _acyclic(H.faces, v)
+        M._on = (H, v, morse)
+    return v, morse
+
+
 def is_morse(H: CellIndex, M: Matching) -> bool:
     """True when M has no closed V-path, decided by one pass over the
     matched pairs."""
-    return _acyclic(H.faces, _field(H.id_of, M))
+    return _verdict(H, M)[1]
 
 
 def closed_vpath(H: CellIndex, M: Matching) -> tuple[Cell, ...] | None:
@@ -179,8 +231,9 @@ def closed_vpath(H: CellIndex, M: Matching) -> tuple[Cell, ...] | None:
     cycle of that digraph alternates between dimensions k and k+1, so its
     k-cells in stack order, closed up, are a V-path.
     """
-    cells, faces, v = H.cells, H.faces, _field(H.id_of, M)
-    if _acyclic(faces, v):
+    cells, faces = H.cells, H.faces
+    v, morse = _verdict(H, M)
+    if morse:
         return None
     color = bytearray(len(cells))  # 0 unseen, 1 on the stack, 2 done
     for start in range(len(cells)):
@@ -242,18 +295,21 @@ def _steps(M: Matching, sigma: Cell) -> Iterator[Cell]:
     return iter(() if tau is None else [c for c in hyperfaces(tau) if c != sigma])
 
 
-def _collapse_engine(X: SimplicialComplex, keep: frozenset[Cell], pick) -> Matching | None:
+def _collapse_engine(X: SimplicialComplex, keep: frozenset[Cell], pick) -> list[int] | None:
     """Shared removal loop on cell ids, down to the subcomplex keep: take a
     free pair while one exists, else discard a coface-free cell as critical.
+    Returns the collected pairs as a field on ``X.index()`` (see
+    :func:`_field`).
 
     pick(n) draws which of n candidates to try next. Without pick the free
     pair with the smallest lower id is taken and nothing is discarded, so
     getting stuck gives None. Candidates start in sorted(cell) order, are
     added in hyperfaces order, and stale ones are dropped on contact.
     Removal times strictly increase along V-paths of the collected pairs,
-    so the result is always a Morse matching.
+    so they always form a Morse matching.
     """
     cells, id_of, faces, cofaces = X.index()
+    v = [-1] * len(cells)
     alive = bytearray([1]) * len(cells)
     for c in keep:
         alive[id_of[c]] = 0
@@ -262,7 +318,6 @@ def _collapse_engine(X: SimplicialComplex, keep: frozenset[Cell], pick) -> Match
     free = sorted((c for c, n in enumerate(count) if n == 1 and alive[c]), key=cells.__getitem__)
     tops = sorted((c for c, n in enumerate(count) if n == 0 and alive[c]), key=cells.__getitem__)
     heap: list[int] = []
-    pairs: list[Pair] = []
 
     def remove_cell(c: int) -> None:
         alive[c] = 0
@@ -298,7 +353,7 @@ def _collapse_engine(X: SimplicialComplex, keep: frozenset[Cell], pick) -> Match
         sigma = take(free, 1) if pick else smallest_free()
         if sigma is not None:
             tau = next(t for t in cofaces[sigma] if alive[t])
-            pairs.append((cells[sigma], cells[tau]))
+            v[sigma], v[tau] = tau, -2
             remove_cell(tau)
             remove_cell(sigma)
             left -= 2
@@ -308,7 +363,7 @@ def _collapse_engine(X: SimplicialComplex, keep: frozenset[Cell], pick) -> Match
             return None
         remove_cell(top)
         left -= 1
-    return Matching(pairs)
+    return v
 
 
 def find_collapse(X: SimplicialComplex, X0: SimplicialComplex) -> Matching | None:
@@ -320,7 +375,8 @@ def find_collapse(X: SimplicialComplex, X0: SimplicialComplex) -> Matching | Non
     """
     if not X.contains_complex(X0):
         raise ValueError("X0 is not a subcomplex of X")
-    return _collapse_engine(X, frozenset(X0.all_cells()), None)
+    v = _collapse_engine(X, frozenset(X0.all_cells()), None)
+    return None if v is None else Matching._trusted(X.index(), v)
 
 
 def random_morse_matching(
@@ -333,18 +389,26 @@ def random_morse_matching(
     kept with that probability, which stays Morse and varies the critical
     set.
     """
-    M = _collapse_engine(X, frozenset(), rng.randrange)
-    assert M is not None  # a live cell of top dimension is always coface-free
+    # _randbelow(n) is what rng.randrange(n) draws with for n >= 1
+    v = _collapse_engine(X, frozenset(), rng._randbelow)
+    assert v is not None  # a live cell of top dimension is always coface-free
+    H = X.index()
     if keep < 1.0:
-        M = Matching(p for p in M.pairs() if rng.random() < keep)
-    return M
+        # one draw per pair, in the order of Matching.pairs(): by lower cell
+        kept = [-1] * len(v)
+        for c in sorted((c for c, t in enumerate(v) if t >= 0), key=H.cells.__getitem__):
+            if rng.random() < keep:
+                kept[c], kept[v[c]] = v[c], -2
+        v = kept
+    return Matching._trusted(H, v)
 
 
 def greedy_morse_matching(X: SimplicialComplex) -> Matching:
     """Scan Hasse edges in (lower, upper) lexicographic order, adding every
     edge that keeps the matching disjoint and free of closed V-paths."""
-    cells, _, faces, cofaces = X.index()
-    v = [-1] * len(cells)  # as from _field: coface id, -2 matched down, -1 free
+    H = X.index()
+    _, _, faces, cofaces = H
+    v = [-1] * len(faces)  # as from _field: coface id, -2 matched down, -1 free
 
     def reaches(tau: int, sigma: int) -> bool:
         # a cycle through (sigma, tau) stays in their two dimensions: from a
@@ -362,7 +426,6 @@ def greedy_morse_matching(X: SimplicialComplex) -> Matching:
                         stack.append(u)
         return False
 
-    pairs = []
     for sigma, ups in enumerate(cofaces):
         for tau in ups:
             if v[sigma] != -1:
@@ -375,5 +438,4 @@ def greedy_morse_matching(X: SimplicialComplex) -> Matching:
                     v[sigma] = -1
                 else:
                     v[tau] = -2
-                    pairs.append((cells[sigma], cells[tau]))
-    return Matching(pairs)
+    return Matching._trusted(H, v)

@@ -16,7 +16,7 @@ from .chains import ChainComplex
 from .complexes import Cell, Orientation, SimplicialComplex, _check_orientation
 from .errors import NotMorseError
 from .homology import HomologySummary, homology
-from .matchings import Matching, _acyclic, _field, critical_cells, random_morse_matching
+from .matchings import Matching, _verdict, random_morse_matching
 
 
 def _signed_counts(
@@ -75,16 +75,20 @@ def thom_smale_complex(
     to a value other than +1 or -1, or the boundaries do not square to 0.
     """
     _check_orientation(X, orientation)
-    cells, id_of, faces, _ = X.index()
-    v = _field(id_of, M)
-    if not _acyclic(faces, v):
+    H = X.index()
+    cells, _, faces, _ = H
+    v, morse = _verdict(H, M)
+    if not morse:
         raise NotMorseError("matching has a closed V-path")
-    crit = critical_cells(X, M)
-    bases = {k: crit.get(k, ()) for k in range(X.dim + 1)}
+    # ids ascending, so each basis comes out in lexicographic order
+    critical: dict[int, list[int]] = {k: [] for k in range(X.dim + 1)}
+    for c, t in enumerate(v):
+        if t == -1:
+            critical[len(cells[c]) - 1].append(c)
     o = orientation or {}
     boundaries: dict[int, dict[Cell, dict[Cell, int]]] = {}
     for k in range(1, X.dim + 1):
-        taus = [id_of[tau] for tau in bases[k]]
+        taus = critical[k]
         counts = _signed_counts(faces, v, sorted({s for t in taus for s in faces[t]}))
         boundaries[k] = {}
         for t in taus:
@@ -96,6 +100,7 @@ def thom_smale_complex(
             boundaries[k][cells[t]] = {
                 cells[c]: sign * o.get(cells[c], 1) * n for c, n in acc.items()
             }
+    bases = {k: [cells[c] for c in ids] for k, ids in critical.items()}
     return MorseComplex(bases, boundaries, complex=X, matching=M)
 
 

@@ -110,9 +110,9 @@ def path_counts_signed(X: SimplicialComplex, M: Matching, start: Cell) -> dict[C
         raise ValueError("start must be a cell of X")
     if not is_morse(hasse(X), M):
         raise NotMorseError("matching has a closed V-path")
-    cells, id_of, faces, _ = X.index()
-    s = id_of[start]
-    return {cells[c]: n for c, n in _signed_counts(faces, _field(id_of, M), [s])[s].items()}
+    H = X.index()
+    s = H.id_of[start]
+    return {H.cells[c]: n for c, n in _signed_counts(H.faces, _field(H, M), [s])[s].items()}
 
 
 def differential_entry(X: SimplicialComplex, M: Matching, tau: Cell, sigma: Cell) -> int:

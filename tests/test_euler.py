@@ -109,6 +109,15 @@ def test_euler_chain_rejects_incomplete_matchings():
         euler_chain_from_matching(X, Matching([((0,), (0, 1))]))
 
 
+def test_euler_chain_refuses_a_pair_outside_the_complex():
+    X = torus()
+    outside = ((100,), (100, 101))
+    M = Matching(complete_matching(hasse(X)).pairs() + (outside,))
+    with pytest.raises(MatchingError, match=r"\(\(100,\), \(100, 101\)\)") as exc:
+        euler_chain_from_matching(X, M)
+    assert exc.value.cell == (100,)
+
+
 def test_boundary_zero_chain_lands_on_barycenters():
     X = sphere(3)
     M = complete_matching(hasse(X))

@@ -1,13 +1,18 @@
+import contextlib
 import itertools
 import random
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discmorse import corpus, matchings
 from discmorse.chains import chain_complex
-from discmorse.complexes import SimplicialComplex, product_triangulation
-from discmorse.errors import MatchingError
+from discmorse.complexes import SimplicialComplex, barycentric_subdivision, product_triangulation
+from discmorse.errors import MatchingError, NotMorseError
+from discmorse.euler import complete_matching
 from discmorse.homology import homology
 from discmorse.matchings import (
     Matching,
@@ -21,7 +26,8 @@ from discmorse.matchings import (
     random_morse_matching,
     validate_matching,
 )
-from oracles import hasse_edges, random_matching
+from discmorse.morse import thom_smale_complex
+from oracles import differential_entry, hasse_edges, random_matching
 from strategies import small_complexes, tetrahedra_rings
 
 
@@ -292,8 +298,103 @@ def test_greedy_is_morse_and_homology_preserving():
         M = greedy_morse_matching(X)
         assert is_morse(hasse(X), M)
     # greedy on the torus leaves few critical cells but exact homology
-    from discmorse.morse import thom_smale_complex
-
     X = torus()
     M = greedy_morse_matching(X)
     assert homology(thom_smale_complex(X, M)) == homology(chain_complex(X))
+
+
+# --- the id field and the verdict a matching keeps ---
+
+
+def test_a_pair_outside_the_complex_is_refused_by_name():
+    X = torus()
+    M = Matching([((0,), (0, 99))])
+    checks = [
+        lambda: is_morse(hasse(X), M),
+        lambda: closed_vpath(hasse(X), M),
+        lambda: thom_smale_complex(X, M),
+    ]
+    for check in checks:
+        with pytest.raises(MatchingError, match=r"\(\(0,\), \(0, 99\)\)") as exc:
+            check()
+        assert exc.value.cell == (0, 99)
+
+
+def _answer(call, X, M):
+    """What one call says about M on X; None for a refused Thom-Smale complex."""
+    if call == "is_morse":
+        return is_morse(hasse(X), M)
+    if call == "closed_vpath":
+        return closed_vpath(hasse(X), M)
+    try:
+        return thom_smale_complex(X, M)
+    except NotMorseError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(seeded_random_matchings, tetrahedra_rings()),
+    st.permutations(("is_morse", "closed_vpath", "thom_smale_complex")),
+)
+def test_any_call_order_agrees_with_the_oracles_on_any_equal_complex(X_and_M, order):
+    X, M = X_and_M
+    fresh = Matching(M.pairs())  # the oracles' copy, which M's calls never touch
+    morse = find_closed_vpath(X, fresh) is None
+    for call in order:
+        got = _answer(call, X, M)
+        if call == "is_morse":
+            assert got == morse
+        elif call == "closed_vpath":
+            assert (got is None) == morse
+            assert morse or is_closed_vpath(M, got)
+        elif not morse:
+            assert got is None
+        else:
+            for k in range(1, got.top_dim + 1):
+                for tau in got.basis(k):
+                    want = {s: differential_entry(X, fresh, tau, s) for s in got.basis(k - 1)}
+                    assert got.column(k, tau) == {s: n for s, n in want.items() if n}
+    Y = SimplicialComplex.from_facets(X.facets())
+    assert Y == X and hasse(Y) is not hasse(X)
+    assert is_morse(hasse(Y), M) == morse
+    assert (closed_vpath(hasse(Y), M) is None) == morse
+    assert _answer("is_morse", X, M) == morse
+    # Kahn's pass, wherever a module of the package holds it, runs once
+    kahn = matchings._acyclic
+    spy = mock.Mock(wraps=kahn)
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("discmorse") and getattr(module, "_acyclic", None) is kahn:
+                stack.enter_context(mock.patch.object(module, "_acyclic", spy))
+        N = Matching(M.pairs())
+        assert is_morse(hasse(X), N) == morse
+        assert (_answer("thom_smale_complex", X, N) is None) == (not morse)
+    assert spy.call_count == 1
+
+
+def library_matchings():
+    """(complex, matching) for every way the library builds a matching."""
+    sd_s2 = barycentric_subdivision(corpus.sphere(2)).complex
+    for X in (corpus.torus(), corpus.projective_plane(), sd_s2, product_triangulation(2, 1)):
+        for s in range(3):
+            yield X, random_morse_matching(X, random.Random(s))
+            yield X, random_morse_matching(X, random.Random(s), keep=0.6)
+        yield X, greedy_morse_matching(X)
+        yield X, find_collapse(X, SimplicialComplex([X.cells(0)[0]]))
+    for X in (corpus.torus(), corpus.sphere(3), circle()):
+        yield X, complete_matching(hasse(X))
+
+
+def test_library_built_matchings_equal_their_checked_copies():
+    built = 0
+    for X, M in library_matchings():
+        if M is None:  # find_collapse stuck, e.g. on the torus
+            continue
+        built += 1
+        N = Matching(M.pairs())
+        assert M == N and hash(M) == hash(N) and len(M) == len(N)
+        assert critical_cells(X, M) == critical_cells(X, N)
+        for c in X.all_cells():
+            assert (M.v(c), M.v_inverse(c), M.covers(c)) == (N.v(c), N.v_inverse(c), N.covers(c))
+    assert built >= 25
