@@ -21,7 +21,7 @@ from .complexes import (
     barycentric_subdivision,
     product_triangulation,
 )
-from .elimination import EliminationError, all_orders_agree, gaussian_eliminate
+from .elimination import EliminationError, _Reduction, all_orders_agree
 from .errors import DiscMorseError, MatchingError, ParseError
 from .euler import (
     complete_matching,
@@ -247,19 +247,19 @@ def cmd_reduce(args: argparse.Namespace) -> Report:
         order = [pairs[i] for i in idx]
     order = list(dict.fromkeys(order))  # a repeated line is eliminated once
     steps = []
-    current = C
+    R = _Reduction(C)
     for i, (sigma, tau) in enumerate(order):
         pair = f"{table.decode_cell(sigma)} ; {table.decode_cell(tau)}"
-        pivot = current.column(len(tau) - 1, tau).get(sigma, 0)
         try:
-            current = gaussian_eliminate(current, (sigma, tau))
-        except EliminationError:
+            pivot = R.eliminate(sigma, tau)
+        except EliminationError as exc:
             report.put("steps", steps)
             report.put("failed_step", i)
             report.put("failed_pair", pair)
-            report.put("failed_pivot", pivot)
+            report.put("failed_pivot", exc.pivot)
             return report
         steps.append(f"{pair} ; pivot {pivot}")
+    current = R.complex()
     report.put("steps", steps)
     report.put("reduced_sizes", [current.size(k) for k in range(current.top_dim + 1)])
     report.put("reduced_differential", _differential_lines(current, table))

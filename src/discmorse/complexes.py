@@ -37,9 +37,14 @@ def _check_orientation(X: SimplicialComplex, orientation: Orientation | None) ->
 MAX_FACET_CELLS = 1 << 21
 
 
+_PLAIN_INT = frozenset({int})
+
+
 def as_cell(vertices: Iterable[int]) -> Cell:
     """Canonicalize a vertex collection into a cell (sorted, distinct)."""
     vs = tuple(sorted(vertices))
+    if vs and set(map(type, vs)) == _PLAIN_INT and vs[0] >= 0 and len(set(vs)) == len(vs):
+        return vs  # distinct non-negative plain ints: the common case
     if not vs:
         raise ValueError("a cell needs at least one vertex")
     for v in vs:
@@ -49,7 +54,7 @@ def as_cell(vertices: Iterable[int]) -> Cell:
             raise ValueError(f"vertex labels must be non-negative, got {v}")
     for a, b in zip(vs, vs[1:]):
         if a == b:
-            raise ValueError(f"duplicate vertex {a} in cell {tuple(vertices)}")
+            raise ValueError(f"duplicate vertex {a} in cell {vs}")
     return vs
 
 
@@ -61,7 +66,9 @@ def hyperfaces(cell: Cell) -> list[Cell]:
     """Codimension-1 faces, in the order induced by dropped-vertex index."""
     if len(cell) == 1:
         return []
-    return [cell[:i] + cell[i + 1:] for i in range(len(cell))]
+    faces = list(itertools.combinations(cell, len(cell) - 1))  # drops the last first
+    faces.reverse()
+    return faces
 
 
 def proper_faces(cell: Cell) -> Iterator[Cell]:
@@ -173,7 +180,12 @@ class SimplicialComplex:
         if self._index is None:
             cells = tuple(self.all_cells())
             id_of = {c: i for i, c in enumerate(cells)}
-            faces = tuple(tuple([id_of[f] for f in hyperfaces(c)]) for c in cells)
+            n0, face_id = len(self._by_dim[0]), id_of.__getitem__
+            # combinations drop the last vertex first: reversed, hyperfaces order
+            faces = ((),) * n0 + tuple(
+                tuple(map(face_id, itertools.combinations(c, len(c) - 1)))[::-1]
+                for c in cells[n0:]
+            )
             up: list[list[int]] = [[] for _ in cells]
             for i, fs in zip(id_of.values(), faces):
                 for f in fs:
@@ -188,7 +200,7 @@ class SimplicialComplex:
         """Maximal cells. ``from_facets(X.facets())`` reproduces X."""
         covered: set[Cell] = set()
         for c in self._cells:
-            covered.update(hyperfaces(c))
+            covered.update(itertools.combinations(c, len(c) - 1))
         return tuple(c for c in self.all_cells() if c not in covered)
 
     def euler_characteristic(self) -> int:

@@ -11,12 +11,20 @@ Eliminating the pairs of a Morse matching runs to completion in every
 order, and every order yields the same reduced complex because surviving
 labels keep their identity and order; ``all_orders_agree`` tries orders
 and compares their outcomes.
+
+Cost model: one reduction copies the complex's outer dicts once and keeps
+a row index (label -> the columns holding it), so a step rewrites only the
+columns that hold its two generators, each into a new dict, and never
+changes the input's columns. Basis positions are renumbered once per
+reduction, at the end, so a sequence of pairs costs about the entries it
+rewrites rather than the size of the complex at every step.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from typing import Iterable, NamedTuple, Sequence
 
 from .chains import ChainComplex, Column, Label
@@ -29,55 +37,132 @@ class EliminationStep(NamedTuple):
     upper: Label  # generator of degree i (a column of the same matrix)
 
 
-def _without(entries: dict, drop: Label) -> dict:
-    """entries less the key drop; entries itself when drop is absent."""
-    if drop not in entries:
-        return entries
-    return {label: v for label, v in entries.items() if label != drop}
+def _rewrite(col: Column, gamma: Column, f: int) -> Column:
+    """col - f * gamma as a new column, zero entries dropped; entries of
+    col keep their places and new ones follow in gamma's order."""
+    out = dict(col)
+    for sigma, v in gamma.items():
+        w = out.get(sigma, 0) - f * v
+        if w:
+            out[sigma] = w
+        else:
+            del out[sigma]
+    return out
 
 
-def _nonzero(entries: dict) -> dict:
-    return {label: v for label, v in entries.items() if v}
+def _drop(col: Column, label: Label) -> Column:
+    """col less the entry of label, as a new column."""
+    out = dict(col)
+    del out[label]
+    return out
+
+
+class _Reduction:
+    """Matched pairs of C eliminated one step at a time, without copies.
+
+    The outer dicts of C are copied once; C's columns are shared until a
+    step changes them, and a changed column becomes a new dict. ``rows[k]``
+    lists, for each degree-(k-1) label, the degree-k columns that held it
+    when last seen: it is built on first use, entries go stale when a
+    column loses the label, and a step skips stale entries on contact.
+    """
+
+    __slots__ = ("bases", "columns", "rows")
+
+    def __init__(self, C: ChainComplex):
+        self.bases = {k: dict(b) for k, b in C._bases.items()}
+        self.columns = {k: dict(cols) for k, cols in C._columns.items()}
+        self.rows: dict[int, dict[Label, list[Label]]] = {}
+
+    def _holders(self, k: int) -> dict[Label, list[Label]]:
+        rows = self.rows.get(k)
+        if rows is None:
+            rows = self.rows[k] = defaultdict(list)
+            for tau, col in self.columns[k].items():
+                for sigma in col:
+                    rows[sigma].append(tau)
+        return rows
+
+    def eliminate(self, lower: Label, upper: Label) -> int:
+        """Eliminate one pair and return its pivot, +1 or -1. Raises
+        ValueError unless upper is a generator and lower one a degree
+        below it, and EliminationError (step 0) for any other pivot;
+        either way nothing has changed."""
+        bases = self.bases
+        i = next((k for k in range(1, len(bases)) if upper in bases[k]), 0)
+        if not i or lower not in bases[i - 1]:
+            raise ValueError(f"{upper!r} has no generator {lower!r} one degree below")
+        cols = self.columns[i]
+        gamma = cols.get(upper, {})
+        pivot = gamma.get(lower, 0)
+        if pivot not in (1, -1):
+            raise EliminationError(
+                f"pivot <d {upper!r}, {lower!r}> = {pivot} is not invertible",
+                step=0,
+                pair=(lower, upper),
+                pivot=pivot,
+            )
+        del bases[i][upper], bases[i - 1][lower], cols[upper]
+        # eps - gamma * pivot^-1 * delta, pivot^-1 = pivot; lower cancels
+        rows = self._holders(i)
+        for t in rows.pop(lower, ()):
+            old = cols.get(t)
+            if old is None or lower not in old:
+                continue  # stale: t is gone, or has lost lower already
+            col = _rewrite(old, gamma, old[lower] * pivot)
+            if col:
+                cols[t] = col
+                for sigma in gamma.keys() - old.keys():
+                    rows[sigma].append(t)
+            else:
+                del cols[t]
+        if i + 1 in self.columns:
+            above = self.columns[i + 1]
+            for r in self._holders(i + 1).pop(upper, ()):
+                col = above.get(r)
+                if col is None or upper not in col:
+                    continue
+                col = _drop(col, upper)
+                if col:
+                    above[r] = col
+                else:
+                    del above[r]
+        if i - 1 in self.columns:
+            self.columns[i - 1].pop(lower, None)
+        return pivot
+
+    def complex(self) -> ChainComplex:
+        """The reduced complex, basis positions renumbered."""
+        bases = {k: {label: p for p, label in enumerate(b)} for k, b in self.bases.items()}
+        return ChainComplex._trusted(bases, self.columns)
 
 
 def gaussian_eliminate(C: ChainComplex, step: EliminationStep | Pair) -> ChainComplex:
     """Eliminate one (lower, upper) pair; the pivot must be +1 or -1. The
-    result shares with C every column that contains neither generator."""
-    step = EliminationStep(*step)
-    lower, upper = step
-    i = next((k for k in range(1, C.top_dim + 1) if upper in C._bases[k]), 0)
-    if not i or lower not in C._bases[i - 1]:
-        raise ValueError(f"{upper!r} has no generator {lower!r} one degree below")
-    gamma = C._columns[i].get(upper, {})
-    pivot = gamma.get(lower, 0)
-    if pivot not in (1, -1):
-        raise EliminationError(
-            f"pivot <d {upper!r}, {lower!r}> = {pivot} is not invertible",
-            step=0,
-            pair=tuple(step),
-            pivot=pivot,
-        )
+    result shares with C every column that contains neither generator.
 
-    def update(col: Column) -> Column:
-        # eps - gamma * pivot^-1 * delta, pivot^-1 = pivot; lower cancels
-        a = col.get(lower)
-        if a is None:
-            return col
-        out = dict(col)
-        for sigma, v in gamma.items():
-            out[sigma] = out.get(sigma, 0) - a * pivot * v
-        return _nonzero(out)
+    Cost: the step rewrites only the columns holding lower or upper, each
+    into a new dict, and basis positions are renumbered once, as at the
+    end of every reduction; C itself is left as it was."""
+    lower, upper = EliminationStep(*step)
+    R = _Reduction(C)
+    R.eliminate(lower, upper)
+    return R.complex()
 
-    bases = dict(C._bases)
-    for k, drop in ((i, upper), (i - 1, lower)):
-        bases[k] = {label: p for p, label in enumerate(_without(bases[k], drop))}
-    columns = dict(C._columns)
-    columns[i] = _nonzero({t: update(c) for t, c in _without(columns[i], upper).items()})
-    if i + 1 in columns:
-        columns[i + 1] = _nonzero({r: _without(c, upper) for r, c in columns[i + 1].items()})
-    if i - 1 in columns:
-        columns[i - 1] = _without(columns[i - 1], lower)
-    return ChainComplex._trusted(bases, columns)
+
+def _eliminate_all(C: ChainComplex, pairs: Sequence[Pair]) -> ChainComplex:
+    R = _Reduction(C)
+    for idx, (sigma, tau) in enumerate(pairs):
+        try:
+            R.eliminate(sigma, tau)
+        except EliminationError as exc:
+            raise EliminationError(
+                f"step {idx}: {exc.args[0]}",
+                step=idx,
+                pair=(sigma, tau),
+                pivot=exc.pivot,
+            ) from None
+    return R.complex()
 
 
 def eliminate_sequence(
@@ -91,18 +176,7 @@ def eliminate_sequence(
     pairs = M.pairs() if order is None else tuple(order)
     if sorted(pairs) != sorted(M.pairs()):
         raise ValueError("order must be a permutation of the matching's pairs")
-    current = C
-    for idx, (sigma, tau) in enumerate(pairs):
-        try:
-            current = gaussian_eliminate(current, EliminationStep(sigma, tau))
-        except EliminationError as exc:
-            raise EliminationError(
-                f"step {idx}: {exc.args[0]}",
-                step=idx,
-                pair=(sigma, tau),
-                pivot=exc.pivot,
-            ) from None
-    return current
+    return _eliminate_all(C, pairs)
 
 
 class OrdersResult(NamedTuple):
@@ -146,7 +220,7 @@ def all_orders_agree(
     for order in orders:
         tested += 1
         try:
-            reduced = eliminate_sequence(C, M, order)
+            reduced = _eliminate_all(C, order)
         except EliminationError as exc:
             return OrdersResult(False, tested, exhaustive, None, exc, tuple(order))
         if reference is None:

@@ -74,13 +74,18 @@ def parse_complex(text: str) -> tuple[SimplicialComplex, SymbolTable]:
         raise ParseError("no facets found")
     rows = [(lineno, body.split()) for lineno, body in lines]
     all_tokens = [t for _, tokens in rows for t in tokens]
-    if all(_is_numeric(t) for t in all_tokens):
+    if _is_numeric("".join(all_tokens)):  # tokens are never empty
         table = SymbolTable()
+        convert = int
     else:
         table = SymbolTable(tuple(sorted(set(all_tokens))))
+        convert = table._index.__getitem__
     facets = []
     for lineno, tokens in rows:
-        verts = [table.encode(t, lineno) for t in tokens]
+        try:
+            verts = list(map(convert, tokens))
+        except ValueError:  # more digits than int() converts: encode says so
+            verts = [table.encode(t, lineno) for t in tokens]
         if len(set(verts)) != len(verts):
             raise ParseError("facet repeats a vertex", lineno)
         facets.append(verts)

@@ -2,9 +2,11 @@
 
 They follow the definitions literally: V-paths are enumerated one by one,
 Smith forms are checked by matrix products, the Euler-chain boundary is
-read off the subdivision, and Morse-ness is compared with elimination over
-many orders. Several are exponential or cubic, so they are for small
-inputs, and no module of the package imports them.
+read off the subdivision, Morse-ness is compared with elimination over
+many orders, elimination copies the complex for every pair, and faces are
+cut out of cell tuples by slicing. Several are exponential, cubic or
+quadratic, so they are for small inputs, and no module of the package
+imports them.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import random
 from typing import Iterable, NamedTuple, Sequence
 
-from discmorse.chains import chain_complex
+from discmorse.chains import ChainComplex, Column, Label, chain_complex
 from discmorse.complexes import (
-    Cell, Orientation, SimplicialComplex, Subdivision, hyperfaces, incidence
+    Cell, CellIndex, Orientation, SimplicialComplex, Subdivision, hyperfaces, incidence
 )
-from discmorse.elimination import OrdersResult, all_orders_agree
-from discmorse.errors import NotMorseError
+from discmorse.elimination import EliminationStep, OrdersResult, all_orders_agree
+from discmorse.errors import EliminationError, NotMorseError
 from discmorse.euler import EulerChain
 from discmorse.homology import SmithNormalForm
 from discmorse.matchings import Matching, Pair, _field, _steps, hasse, is_morse
@@ -192,3 +194,102 @@ def morse_iff_all_orders(X: SimplicialComplex, M: Matching) -> MorseOrdersVerdic
     orders = all_orders_agree(chain_complex(X), M)
     succeed = orders.failure is None
     return MorseOrdersVerdict(morse, succeed, morse == succeed, orders)
+
+
+# --- elimination, one copy per pair ---
+
+
+def _without(entries: dict, drop: Label) -> dict:
+    """entries less the key drop; entries itself when drop is absent."""
+    if drop not in entries:
+        return entries
+    return {label: v for label, v in entries.items() if label != drop}
+
+
+def _nonzero(entries: dict) -> dict:
+    return {label: v for label, v in entries.items() if v}
+
+
+def copying_eliminate(C: ChainComplex, step: EliminationStep | Pair) -> ChainComplex:
+    """One (lower, upper) pair eliminated by rebuilding both basis dicts and
+    every column of the two degrees it touches; raises like
+    ``gaussian_eliminate``."""
+    step = EliminationStep(*step)
+    lower, upper = step
+    i = next((k for k in range(1, C.top_dim + 1) if upper in C._bases[k]), 0)
+    if not i or lower not in C._bases[i - 1]:
+        raise ValueError(f"{upper!r} has no generator {lower!r} one degree below")
+    gamma = C._columns[i].get(upper, {})
+    pivot = gamma.get(lower, 0)
+    if pivot not in (1, -1):
+        raise EliminationError(
+            f"pivot <d {upper!r}, {lower!r}> = {pivot} is not invertible",
+            step=0,
+            pair=tuple(step),
+            pivot=pivot,
+        )
+
+    def update(col: Column) -> Column:
+        # eps - gamma * pivot^-1 * delta, pivot^-1 = pivot; lower cancels
+        a = col.get(lower)
+        if a is None:
+            return col
+        out = dict(col)
+        for sigma, v in gamma.items():
+            out[sigma] = out.get(sigma, 0) - a * pivot * v
+        return _nonzero(out)
+
+    bases = dict(C._bases)
+    for k, drop in ((i, upper), (i - 1, lower)):
+        bases[k] = {label: p for p, label in enumerate(_without(bases[k], drop))}
+    columns = dict(C._columns)
+    columns[i] = _nonzero({t: update(c) for t, c in _without(columns[i], upper).items()})
+    if i + 1 in columns:
+        columns[i + 1] = _nonzero({r: _without(c, upper) for r, c in columns[i + 1].items()})
+    if i - 1 in columns:
+        columns[i - 1] = _without(columns[i - 1], lower)
+    return ChainComplex._trusted(bases, columns)
+
+
+def copying_sequence(C: ChainComplex, order: Sequence[Pair]) -> ChainComplex:
+    """``copying_eliminate`` over the pairs in order; a failing step raises
+    EliminationError with its 0-based index, pair and pivot."""
+    current = C
+    for idx, (sigma, tau) in enumerate(order):
+        try:
+            current = copying_eliminate(current, (sigma, tau))
+        except EliminationError as exc:
+            raise EliminationError(
+                f"step {idx}: {exc.args[0]}", step=idx, pair=(sigma, tau), pivot=exc.pivot
+            ) from None
+    return current
+
+
+# --- faces by slicing ---
+
+
+def hyperfaces_by_slices(cell: Cell) -> list[Cell]:
+    """Codimension-1 faces, the i-th one with vertex i cut out."""
+    if len(cell) == 1:
+        return []
+    return [cell[:i] + cell[i + 1:] for i in range(len(cell))]
+
+
+def index_by_slices(X: SimplicialComplex) -> CellIndex:
+    """The cell index, built face by face from sliced cell tuples."""
+    cells = tuple(X.all_cells())
+    id_of = {c: i for i, c in enumerate(cells)}
+    faces = tuple(tuple([id_of[f] for f in hyperfaces_by_slices(c)]) for c in cells)
+    up: list[list[int]] = [[] for _ in cells]
+    for i, fs in enumerate(faces):
+        for f in fs:
+            up[f].append(i)
+    return CellIndex(cells, id_of, faces, tuple(map(tuple, up)))
+
+
+def facets_by_slices(X: SimplicialComplex) -> tuple[Cell, ...]:
+    """The cells of X that are no cell's sliced hyperface."""
+    covered: set[Cell] = set()
+    for c in X.all_cells():
+        covered.update(hyperfaces_by_slices(c))
+    return tuple(c for c in X.all_cells() if c not in covered)

@@ -30,6 +30,40 @@ def test_as_cell_sorts_and_validates():
         as_cell([])
 
 
+def test_as_cell_names_the_sorted_cell_of_a_repeated_vertex():
+    # a one-shot iterable is spent by the time the error is written
+    with pytest.raises(ValueError, match=r"duplicate vertex 1 in cell \(1, 1\)$"):
+        as_cell(iter([1, 1]))
+    with pytest.raises(ValueError, match=r"duplicate vertex 2 in cell \(2, 2\)$"):
+        SimplicialComplex([(0, 1), iter([2, 2])])
+    with pytest.raises(ValueError, match=r"duplicate vertex 2 in cell \(1, 2, 2\)$"):
+        as_cell([2, 1, 2])
+
+
+def test_as_cell_checks_every_input_outside_plain_ints():
+    assert as_cell(iter([3, 1, 2])) == (1, 2, 3)
+    assert as_cell(range(4)) == (0, 1, 2, 3)
+    for bad, message in (
+        ([1, True], "must be integers"),
+        ([0, 1.0], "must be integers"),
+        ([-2, 1], "non-negative"),
+        ((), "at least one vertex"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            as_cell(bad)
+
+
+class Vertex(int):
+    """An int subclass: a valid vertex label that is not a plain int."""
+
+
+def test_as_cell_accepts_int_subclasses_through_the_full_checks():
+    cell = as_cell([Vertex(2), Vertex(0)])
+    assert cell == (0, 2) and all(type(v) is Vertex for v in cell)
+    with pytest.raises(ValueError, match="duplicate vertex"):
+        as_cell([Vertex(1), 1])
+
+
 def test_cell_dim_and_faces():
     assert cell_dim((7,)) == 0
     assert cell_dim((0, 1, 2)) == 2

@@ -1,12 +1,17 @@
+import copy
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from discmorse import corpus, elimination
 from discmorse.chains import ChainComplex, chain_complex
-from discmorse.complexes import SimplicialComplex, product_triangulation
+from discmorse.complexes import SimplicialComplex, barycentric_subdivision, product_triangulation
 from discmorse.elimination import (
     EliminationStep,
+    _iter_orders,
     all_orders_agree,
     eliminate_sequence,
     gaussian_eliminate,
@@ -14,7 +19,8 @@ from discmorse.elimination import (
 from discmorse.errors import EliminationError
 from discmorse.matchings import Matching, random_morse_matching
 from discmorse.morse import thom_smale_complex
-from oracles import morse_iff_all_orders, random_matching
+from oracles import copying_eliminate, copying_sequence, morse_iff_all_orders, random_matching
+from strategies import small_complexes, tetrahedra_rings
 
 
 def circle():
@@ -132,3 +138,108 @@ def test_every_order_of_a_morse_matching_gives_the_same_reduction():
     assert res.reduced == thom_smale_complex(X, M)
     assert res.reduced.basis(0) == ((2,),)
     assert [res.reduced.size(k) for k in range(3)] == [1, 0, 0]
+
+
+def storage(C: ChainComplex):
+    """Bases with their positions and columns in storage order, entries too."""
+    return (
+        {k: list(b.items()) for k, b in C._bases.items()},
+        {k: [(t, list(c.items())) for t, c in cols.items()] for k, cols in C._columns.items()},
+    )
+
+
+def error_fields(exc: EliminationError):
+    return ("error", exc.args, exc.step, exc.pair, exc.pivot)
+
+
+def outcome(run):
+    """storage() of run()'s complex, or the EliminationError it raised."""
+    try:
+        return storage(run())
+    except EliminationError as exc:
+        return error_fields(exc)
+
+
+def copying_all_orders(C: ChainComplex, M: Matching, max_orders: int, seed: int):
+    """all_orders_agree's outcome with every order run by copying_sequence."""
+    exhaustive, orders = _iter_orders(M.pairs(), max_orders, seed)
+    reference, tested = None, 0
+    for order in orders:
+        tested += 1
+        try:
+            reduced = copying_sequence(C, order)
+        except EliminationError as exc:
+            return (False, tested, exhaustive, None, error_fields(exc), tuple(order))
+        if reference is None:
+            reference = reduced
+        elif reduced != reference:
+            return (False, tested, exhaustive, None, None, tuple(order))
+    return (True, tested, exhaustive, storage(reference), None, None)
+
+
+seeded_matchings = st.builds(
+    lambda X, seed, morse: (
+        X,
+        random_morse_matching(X, random.Random(seed)) if morse
+        else random_matching(X, random.Random(seed), density=1.0),
+    ),
+    small_complexes,
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(seeded_matchings, tetrahedra_rings()), st.integers(0, 2**32 - 1))
+def test_elimination_equals_the_copying_reference(X_and_M, seed):
+    X, M = X_and_M
+    C = chain_complex(X)
+    before = copy.deepcopy(C)
+    rng = random.Random(seed)
+    for pair in M.pairs():
+        assert outcome(lambda: gaussian_eliminate(C, pair)) == outcome(
+            lambda: copying_eliminate(C, pair)
+        )
+    for _ in range(3):
+        order = list(M.pairs())
+        rng.shuffle(order)
+        assert outcome(lambda: eliminate_sequence(C, M, order)) == outcome(
+            lambda: copying_sequence(C, order)
+        )
+    sub = Matching(rng.sample(M.pairs(), min(len(M), 5)))  # exhaustive, 120 orders at most
+    runs = [(sub, 100)] + ([(M, 4)] if len(M) > 8 else [])
+    for N, max_orders in runs:
+        res = all_orders_agree(C, N, max_orders=max_orders, seed=seed)
+        got = (res.agree, res.orders_tested, res.exhaustive,
+               res.reduced and storage(res.reduced),
+               res.failure and error_fields(res.failure), res.failing_order)
+        assert got == copying_all_orders(C, N, max_orders, seed)
+    assert storage(C) == storage(before)
+
+
+def test_a_step_rewrites_only_the_columns_holding_its_generators(monkeypatch):
+    # the seed-0 collapse of sd^2 torus: 754 pairs over 3,024 nonzeros; the
+    # copying reference handles about 1.17 million column entries here
+    X = barycentric_subdivision(barycentric_subdivision(corpus.torus()).complex).complex
+    M = random_morse_matching(X, random.Random(0))
+    C = chain_complex(X)
+    nnz = sum(len(c) for cols in C._columns.values() for c in cols.values())
+    assert (len(M), nnz) == (754, 3024)
+    handled = 0
+    rewrite, drop = elimination._rewrite, elimination._drop
+
+    def counted_rewrite(col, gamma, f):
+        nonlocal handled
+        handled += len(col) + len(gamma)
+        return rewrite(col, gamma, f)
+
+    def counted_drop(col, label):
+        nonlocal handled
+        handled += len(col)
+        return drop(col, label)
+
+    monkeypatch.setattr(elimination, "_rewrite", counted_rewrite)
+    monkeypatch.setattr(elimination, "_drop", counted_drop)
+    R = eliminate_sequence(C, M)
+    assert [R.size(k) for k in range(3)] == [1, 2, 1]
+    assert 0 < handled <= 8 * nnz

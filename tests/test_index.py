@@ -1,11 +1,13 @@
 """The cell index kept on SimplicialComplex, which is also its Hasse
 diagram, against brute-force builds from cell tuples."""
 
+import pytest
 from hypothesis import given, settings
 
-from discmorse.complexes import SimplicialComplex, hyperfaces
+from discmorse import corpus
+from discmorse.complexes import SimplicialComplex, barycentric_subdivision, hyperfaces
 from discmorse.matchings import hasse, validate_matching
-from oracles import hasse_edges
+from oracles import facets_by_slices, hasse_edges, hyperfaces_by_slices, index_by_slices
 from strategies import small_complexes
 
 
@@ -51,3 +53,30 @@ def test_equality_and_hash_do_not_see_the_index(X, Y):
     assert X == same and hash(X) == hash(same) == hash(frozenset(X.all_cells()))
     assert (X == Y) == (set(X.all_cells()) == set(Y.all_cells()))
     assert X != tuple(X.all_cells())
+
+
+def assert_faces_match_the_slices(X: SimplicialComplex) -> None:
+    assert X.index() == index_by_slices(X)
+    assert X.facets() == facets_by_slices(X)
+    for c in X.all_cells():
+        assert hyperfaces(c) == hyperfaces_by_slices(c)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_faces_match_the_slices_on_the_corpus_and_its_subdivisions(name):
+    X = corpus.load(name)
+    assert_faces_match_the_slices(X)
+    for _ in range(2):  # sd X, sd^2 X
+        X = barycentric_subdivision(X).complex
+        assert_faces_match_the_slices(X)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_complexes)
+def test_faces_match_the_slices(X):
+    assert_faces_match_the_slices(X)
+    # the checked constructor, on cells given as shuffled vertex lists
+    cells = [list(reversed(c)) for c in X.all_cells()]
+    cells.reverse()
+    Y = SimplicialComplex(cells)
+    assert Y == X and Y.index() == X.index() and Y.facets() == X.facets()

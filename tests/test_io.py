@@ -97,6 +97,38 @@ def test_numeric_vertex_tokens_are_ascii_digits_only():
         parse_complex("1" * 5000 + " 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # a 5,000-digit token is past int()'s limit, on whichever line
+        ("0 1\n1 2\n2 " + "7" * 5000 + "\n", 3, "unknown vertex token '777"),
+        ("0 1\n" + "7" * 5000 + " 2\n", 2, "unknown vertex token '777"),
+        ("0 1\n1 2\n2 3 2\n", 3, "facet repeats a vertex"),
+        ("0 1\n1 01\n", 2, "facet repeats a vertex"),  # both are vertex 1
+        ("a b\nb c b\n", 2, "facet repeats a vertex"),
+        ("0 1\n\u0661 \u0661\n", 2, "facet repeats a vertex"),
+        ("\n# none\n   \n", None, "no facets found"),
+    ],
+)
+def test_parse_complex_errors_keep_their_line(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_complex(text)
+    assert exc.value.line == line and message in str(exc.value)
+    if line is not None:
+        assert str(exc.value).startswith(f"line {line}: ")
+
+
+def test_parse_complex_numbers_symbolic_and_non_ascii_tokens():
+    # a non-ASCII digit anywhere makes every token a symbol, numbered in order
+    X, table = parse_complex("10 2\n2 \u0663\n")
+    assert table.names == ("10", "2", "\u0663")
+    assert X.facets() == ((0, 1), (1, 2))
+    X, table = parse_complex("b a\n# c d\nc a\n")
+    assert table.names == ("a", "b", "c") and X.facets() == ((0, 1), (0, 2))
+    X, table = parse_complex("007 10\n10 3\n")
+    assert table.numeric and X.facets() == ((3, 10), (7, 10))
+
+
 def test_parse_matching():
     _, table = parse_complex("0 1 2\n")
     pairs = parse_matching("0 ; 0 1\n1 ; 1 2  # matched\n", table)
