@@ -322,13 +322,8 @@ def cmd_subdivide(args: argparse.Namespace) -> Report:
     sd = sub.complex
     report.put("subdivision_cells", [len(sd.cells(k)) for k in range(sd.dim + 1)])
     report.put("euler_preserved", sd.euler_characteristic() == X.euler_characteristic())
-    report.put(
-        "barycenters",
-        [
-            f"{table.decode_cell(c)} ; {vid}"
-            for c, vid in sorted(sub.barycenter_of.items(), key=lambda kv: kv[1])
-        ],
-    )
+    barycenters = [f"{table.decode_cell(c)} ; {vid}" for vid, c in sub.cell_of.items()]
+    report.put("barycenters", barycenters)
     report.put("facets", format_complex(sd).splitlines())
     return report
 

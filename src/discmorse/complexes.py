@@ -6,10 +6,15 @@ the i-th vertex carries the sign (-1)**i. Alternative orientations are
 plain ``cell -> -1`` tables produced by :func:`reorient` in
 :mod:`discmorse.morse` and accepted by everything that takes an
 ``orientation`` argument.
+
+A complex stores its cells once, numbered by (dimension, lexicographic)
+rank. Its cell index and barycentric subdivision use those ids; the index
+builds faces and cofaces on first use.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -108,9 +113,13 @@ class CellIndex(NamedTuple):
 
 
 class SimplicialComplex:
-    """An immutable finite simplicial complex, closed under taking faces."""
+    """An immutable finite simplicial complex, closed under taking faces.
 
-    __slots__ = ("_by_dim", "_cells", "_index")
+    Its one store: the cells in (dimension, lexicographic) order, their ids
+    and the id where each dimension starts. ``index()`` shares the first two
+    and builds faces and cofaces on first use."""
+
+    __slots__ = ("_cells", "_id_of", "_starts", "_index")
 
     def __init__(self, cells: Iterable[Iterable[int]]):
         canon = {as_cell(c) for c in cells}
@@ -122,15 +131,15 @@ class SimplicialComplex:
                     raise ValueError(f"not closed under faces: {c} present, {f} missing")
         self._fill(canon)
 
-    def _fill(self, canon: set[Cell]) -> None:
-        """Set the fields from canonical cells already closed under faces."""
-        by_dim: dict[int, list[Cell]] = {}
-        for c in canon:
-            by_dim.setdefault(len(c) - 1, []).append(c)
-        self._by_dim: dict[int, tuple[Cell, ...]] = {
-            k: tuple(sorted(v)) for k, v in sorted(by_dim.items())
-        }
-        self._cells = frozenset(canon)
+    def _fill(self, canon: Iterable[Cell]) -> None:
+        """Number distinct canonical cells already closed under faces."""
+        # sorted is stable: by dimension, and lexicographic within one
+        self._cells = cells = tuple(sorted(sorted(canon), key=len))
+        self._id_of = dict(zip(cells, range(len(cells))))
+        # _starts[k] is the id of the first k-cell, _starts[dim + 1] the count
+        self._starts = tuple(
+            bisect.bisect_left(cells, n, key=len) for n in range(1, len(cells[-1]) + 2)
+        )
         self._index: CellIndex | None = None
 
     @classmethod
@@ -160,7 +169,7 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max(self._by_dim)
+        return len(self._starts) - 2
 
     @property
     def n_cells(self) -> int:
@@ -168,19 +177,18 @@ class SimplicialComplex:
 
     def cells(self, k: int) -> tuple[Cell, ...]:
         """The k-cells in lexicographic order (empty tuple if none)."""
-        return self._by_dim.get(k, ())
+        s = self._starts
+        return self._cells[s[k]:s[k + 1]] if 0 <= k < len(s) - 1 else ()
 
     def all_cells(self) -> Iterator[Cell]:
         """All cells, dimension ascending, lexicographic within a dimension."""
-        for k in sorted(self._by_dim):
-            yield from self._by_dim[k]
+        return iter(self._cells)
 
     def index(self) -> CellIndex:
         """The cell index, built on first use and kept (X is immutable)."""
         if self._index is None:
-            cells = tuple(self.all_cells())
-            id_of = {c: i for i, c in enumerate(cells)}
-            n0, face_id = len(self._by_dim[0]), id_of.__getitem__
+            cells, id_of = self._cells, self._id_of
+            n0, face_id = self._starts[1], id_of.__getitem__
             # combinations drop the last vertex first: reversed, hyperfaces order
             faces = ((),) * n0 + tuple(
                 tuple(map(face_id, itertools.combinations(c, len(c) - 1)))[::-1]
@@ -194,25 +202,24 @@ class SimplicialComplex:
         return self._index
 
     def vertices(self) -> tuple[int, ...]:
-        return tuple(c[0] for c in self._by_dim[0])
+        return tuple(c[0] for c in self.cells(0))
 
     def facets(self) -> tuple[Cell, ...]:
         """Maximal cells. ``from_facets(X.facets())`` reproduces X."""
         covered: set[Cell] = set()
         for c in self._cells:
             covered.update(itertools.combinations(c, len(c) - 1))
-        return tuple(c for c in self.all_cells() if c not in covered)
+        return tuple(c for c in self._cells if c not in covered)
 
     def euler_characteristic(self) -> int:
-        return sum(
-            (len(cs) if k % 2 == 0 else -len(cs)) for k, cs in self._by_dim.items()
-        )
+        s = self._starts
+        return sum((-1) ** k * (s[k + 1] - s[k]) for k in range(self.dim + 1))
 
     def contains_complex(self, other: "SimplicialComplex") -> bool:
-        return all(c in self._cells for c in other.all_cells())
+        return all(map(self._id_of.__contains__, other._cells))
 
     def __contains__(self, cell: object) -> bool:
-        return cell in self._cells
+        return cell in self._id_of
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -220,10 +227,10 @@ class SimplicialComplex:
         return self._cells == other._cells
 
     def __hash__(self) -> int:
-        return hash(self._cells)
+        return hash(frozenset(self._cells))
 
     def __repr__(self) -> str:
-        sizes = ",".join(str(len(self._by_dim[k])) for k in sorted(self._by_dim))
+        sizes = ",".join(str(b - a) for a, b in itertools.pairwise(self._starts))
         return f"SimplicialComplex(dim={self.dim}, cells=({sizes}))"
 
 
@@ -251,17 +258,15 @@ def barycentric_subdivision(X: SimplicialComplex) -> Subdivision:
         a.append(1 + sum(math.comb(k + 1, j + 1) * a[j] for j in range(k)))
     if sum(len(X.cells(k)) * a[k] for k in range(X.dim + 1)) > MAX_FACET_CELLS:
         raise ParseError(f"subdivision has more than {MAX_FACET_CELLS} cells")
-    ordered = list(X.all_cells())
-    vid = {c: i for i, c in enumerate(ordered)}
-    ends: dict[Cell, list[Cell]] = {}  # faces come first in ordered
-    for c in ordered:
-        ends[c] = [(vid[c],)] + [ch + (vid[c],) for f in proper_faces(c) for ch in ends[f]]
-    all_chains = {ch for chains in ends.values() for ch in chains}
-    # chains are increasing vertex tuples, and every sub-chain of a chain is
-    # a chain: the constructor's checks would pass on every cell
+    cells, id_of = X._cells, X._id_of
+    ends: list[list[Cell]] = []  # ends[i]: the chains whose top is cell i
+    for i, c in enumerate(cells):  # faces come first, with smaller ids
+        ends.append([(i,)] + [ch + (i,) for f in proper_faces(c) for ch in ends[id_of[f]]])
+    # chains are distinct increasing vertex tuples, and every sub-chain of a
+    # chain is a chain: the constructor's checks would pass on every cell
     sd = SimplicialComplex.__new__(SimplicialComplex)
-    sd._fill(all_chains)
-    return Subdivision(sd, vid, {i: c for c, i in vid.items()})
+    sd._fill(itertools.chain.from_iterable(ends))
+    return Subdivision(sd, dict(id_of), dict(enumerate(cells)))
 
 
 def product_triangulation(m: int, n: int) -> SimplicialComplex:

@@ -148,10 +148,10 @@ def validate_matching(H: CellIndex, pairs: Iterable[Pair]) -> ValidationReport:
 
 
 def critical_cells(X: SimplicialComplex, M: Matching) -> dict[int, tuple[Cell, ...]]:
-    """Unmatched cells, grouped by dimension (every dimension 0..dim listed)."""
-    return {
-        k: tuple(c for c in X.cells(k) if not M.covers(c)) for k in range(X.dim + 1)
-    }
+    """Unmatched cells, grouped by dimension (every dimension 0..dim listed).
+    A pair with a cell outside X raises MatchingError."""
+    v = iter(_field(X.index(), M))  # in id order: cells(k) takes the next slice
+    return {k: tuple(c for c, t in zip(X.cells(k), v) if t == -1) for k in range(X.dim + 1)}
 
 
 def _field(H: CellIndex, M: Matching) -> list[int]:
@@ -295,7 +295,7 @@ def _steps(M: Matching, sigma: Cell) -> Iterator[Cell]:
     return iter(() if tau is None else [c for c in hyperfaces(tau) if c != sigma])
 
 
-def _collapse_engine(X: SimplicialComplex, keep: frozenset[Cell], pick) -> list[int] | None:
+def _collapse_engine(X: SimplicialComplex, keep: Iterable[Cell], pick) -> list[int] | None:
     """Shared removal loop on cell ids, down to the subcomplex keep: take a
     free pair while one exists, else discard a coface-free cell as critical.
     Returns the collected pairs as a field on ``X.index()`` (see
@@ -313,7 +313,7 @@ def _collapse_engine(X: SimplicialComplex, keep: frozenset[Cell], pick) -> list[
     alive = bytearray([1]) * len(cells)
     for c in keep:
         alive[id_of[c]] = 0
-    left = len(cells) - len(keep)
+    left = alive.count(1)
     count = [len(ups) for ups in cofaces]  # a live cell's cofaces are all live
     free = sorted((c for c, n in enumerate(count) if n == 1 and alive[c]), key=cells.__getitem__)
     tops = sorted((c for c, n in enumerate(count) if n == 0 and alive[c]), key=cells.__getitem__)
@@ -375,7 +375,7 @@ def find_collapse(X: SimplicialComplex, X0: SimplicialComplex) -> Matching | Non
     """
     if not X.contains_complex(X0):
         raise ValueError("X0 is not a subcomplex of X")
-    v = _collapse_engine(X, frozenset(X0.all_cells()), None)
+    v = _collapse_engine(X, X0.all_cells(), None)
     return None if v is None else Matching._trusted(X.index(), v)
 
 
@@ -390,7 +390,7 @@ def random_morse_matching(
     set.
     """
     # _randbelow(n) is what rng.randrange(n) draws with for n >= 1
-    v = _collapse_engine(X, frozenset(), rng._randbelow)
+    v = _collapse_engine(X, (), rng._randbelow)
     assert v is not None  # a live cell of top dimension is always coface-free
     H = X.index()
     if keep < 1.0:

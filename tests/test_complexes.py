@@ -137,6 +137,12 @@ def test_barycentric_subdivision_of_an_edge():
     # barycenter ids: vertices first in lex order, then higher cells
     assert sub.barycenter_of == {(0,): 0, (1,): 1, (0, 1): 2}
     assert sub.cell_of == {0: (0,), 1: (1,), 2: (0, 1)}
+    # the maps are the caller's own: changing one leaves the edge as it was
+    edge = SimplicialComplex.from_facets([(0, 1)])
+    index = edge.index()
+    barycentric_subdivision(edge).barycenter_of[(0, 1)] = 7
+    assert edge.index() is index and index.id_of == {(0,): 0, (1,): 1, (0, 1): 2}
+    assert (0, 1) in edge and edge.n_cells == 3
 
 
 def test_barycentric_subdivision_counts_and_euler():
@@ -160,7 +166,12 @@ def test_barycentric_subdivision_counts_and_euler():
 
 @pytest.mark.parametrize("name", corpus.names())
 def test_barycentric_subdivision_passes_the_checked_constructor(name):
-    sd = barycentric_subdivision(corpus.load(name)).complex
+    X = corpus.load(name)
+    sub = barycentric_subdivision(X)
+    # barycenters are numbered as X's cell index numbers the cells
+    assert sub.barycenter_of == X.index().id_of
+    assert sub.cell_of == dict(enumerate(X.index().cells))
+    sd = sub.complex
     checked = SimplicialComplex(sd.all_cells())
     assert sd == checked
     assert [sd.cells(k) for k in range(sd.dim + 1)] == [

@@ -52,7 +52,19 @@ def test_equality_and_hash_do_not_see_the_index(X, Y):
     X.index()
     assert X == same and hash(X) == hash(same) == hash(frozenset(X.all_cells()))
     assert (X == Y) == (set(X.all_cells()) == set(Y.all_cells()))
+    assert X.contains_complex(Y) == (set(Y.all_cells()) <= set(X.all_cells()))
     assert X != tuple(X.all_cells())
+
+
+def assert_counts_match_the_cells(X: SimplicialComplex) -> None:
+    cells = tuple(X.all_cells())
+    sizes = [sum(len(c) == k + 1 for c in cells) for k in range(X.dim + 1)]
+    assert X.cells(-1) == X.cells(X.dim + 1) == ()
+    assert sum((X.cells(k) for k in range(X.dim + 1)), ()) == cells
+    assert X.n_cells == len(cells) == sum(sizes)
+    assert X.vertices() == tuple(c[0] for c in cells if len(c) == 1)
+    assert X.euler_characteristic() == sum((-1) ** k * n for k, n in enumerate(sizes))
+    assert repr(X) == f"SimplicialComplex(dim={X.dim}, cells=({','.join(map(str, sizes))}))"
 
 
 def assert_faces_match_the_slices(X: SimplicialComplex) -> None:
@@ -66,15 +78,18 @@ def assert_faces_match_the_slices(X: SimplicialComplex) -> None:
 def test_faces_match_the_slices_on_the_corpus_and_its_subdivisions(name):
     X = corpus.load(name)
     assert_faces_match_the_slices(X)
+    assert_counts_match_the_cells(X)
     for _ in range(2):  # sd X, sd^2 X
         X = barycentric_subdivision(X).complex
         assert_faces_match_the_slices(X)
+        assert_counts_match_the_cells(X)
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_complexes)
 def test_faces_match_the_slices(X):
     assert_faces_match_the_slices(X)
+    assert_counts_match_the_cells(X)
     # the checked constructor, on cells given as shuffled vertex lists
     cells = [list(reversed(c)) for c in X.all_cells()]
     cells.reverse()

@@ -116,6 +116,11 @@ def test_critical_cells_lists_every_dimension():
     assert critical_cells(X, Matching(())) == {
         0: X.cells(0), 1: X.cells(1), 2: X.cells(2),
     }
+    # a pair outside X is refused, as thom_smale_complex and is_morse refuse it
+    outside = Matching([((0,), (0, 1)), ((90,), (90, 91))])
+    with pytest.raises(MatchingError, match="names a cell outside the complex") as exc:
+        critical_cells(torus(), outside)
+    assert exc.value.cell == (90,)
 
 
 # --- acyclicity and closed V-paths ---
