@@ -11,6 +11,17 @@ Matrix = list[list[int]]
 Column = dict[Label, int]
 
 
+def _add_scaled(target: dict, source: dict, c: int) -> None:
+    """target += c * source for c != 0, on dicts that store no zeros: an
+    entry that cancels is deleted, and new entries follow source's order."""
+    for key, v in source.items():
+        w = target.get(key, 0) + c * v
+        if w:
+            target[key] = w
+        else:
+            del target[key]
+
+
 class ChainComplex:
     """A finitely generated free chain complex over the integers.
 
@@ -52,9 +63,8 @@ class ChainComplex:
             for tau, col in self._columns[k].items():
                 acc: Column = {}
                 for sigma, v in col.items():
-                    for rho, w in below.get(sigma, {}).items():
-                        acc[rho] = acc.get(rho, 0) + v * w
-                if any(acc.values()):
+                    _add_scaled(acc, below.get(sigma, {}), v)
+                if acc:
                     raise ValueError(
                         f"d o d != 0 between degrees {k} and {k - 2} (at {tau!r})"
                     )

@@ -27,7 +27,7 @@ import random
 from collections import defaultdict
 from typing import Iterable, NamedTuple, Sequence
 
-from .chains import ChainComplex, Column, Label
+from .chains import ChainComplex, Column, Label, _add_scaled
 from .errors import EliminationError
 from .matchings import Matching, Pair
 
@@ -41,12 +41,7 @@ def _rewrite(col: Column, gamma: Column, f: int) -> Column:
     """col - f * gamma as a new column, zero entries dropped; entries of
     col keep their places and new ones follow in gamma's order."""
     out = dict(col)
-    for sigma, v in gamma.items():
-        w = out.get(sigma, 0) - f * v
-        if w:
-            out[sigma] = w
-        else:
-            del out[sigma]
+    _add_scaled(out, gamma, -f)
     return out
 
 

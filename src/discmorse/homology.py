@@ -8,7 +8,10 @@ classification needs. Every step is an elementary operation: a swap, a
 negation, or adding a multiple of one row or column to another, where an
 added column is nonzero on its diagonal alone and so touches one row.
 Columns keep their keys and a swap permutes their positions alone, so
-it touches no row, and V is put in position order once at the end.
+it touches no row. The transforms are sparse like the matrix, each
+stored so that every operation it mirrors is a row operation on it: U by
+rows and U^-1 by columns, V by columns and V^-1 by rows on column keys.
+Dense transforms are built only for ``smith_normal_form``.
 """
 
 from __future__ import annotations
@@ -16,20 +19,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .chains import ChainComplex, Label, Matrix
-
-
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+from .chains import ChainComplex, Label, Matrix, _add_scaled
 
 
 class _SmithWorker:
     """Row-sparse elimination of owned row dicts, which never store zeros,
-    with optional dense transforms. The rows keep the column keys they came
-    with: ``col`` maps positions to keys and ``pos`` keys to positions, so a
-    column swap moves two entries of each and no row; V and V_inv are kept
-    on keys too, until ``_smith`` puts them in position order. Column src
-    of ``col_add`` is nonzero in row src alone: the row pass has cleared it
+    with optional transforms stored the same way. The rows keep the column
+    keys they came with: ``col`` maps positions to keys and ``pos`` keys to
+    positions, so a column swap moves two entries of each and no row.
+    ``U`` holds the rows of U and ``U_inv`` the columns of U^-1, both
+    indexed like the rows, so a row swap or negation acts on one index of
+    all three. ``V`` holds the columns of V and ``V_inv`` the rows of V^-1,
+    both on column keys, untouched by a column swap. Column src of
+    ``col_add`` is nonzero in row src alone: the row pass has cleared it
     below the pivot (rows above are diagonal), or the matrix is diagonal."""
 
     def __init__(self, rows: list[dict[int, int]], n_cols: int, transforms: bool):
@@ -41,24 +43,24 @@ class _SmithWorker:
         self.track = transforms
         self.U = self.U_inv = self.V = self.V_inv = None
         if transforms:
-            self.U = _identity(self.m)
-            self.U_inv = _identity(self.m)
-            self.V = _identity(self.n)
-            self.V_inv = _identity(self.n)
+            self.U = [{i: 1} for i in range(self.m)]
+            self.U_inv = [{i: 1} for i in range(self.m)]
+            self.V = [{k: 1} for k in range(self.n)]
+            self.V_inv = [{k: 1} for k in range(self.n)]
 
     def _diag(self, t: int) -> int:
         return self.rows[t][self.col[t]]
 
     # --- elementary operations; all but the column swap mirrored on the transforms ---
 
+    def _row_indexed(self) -> tuple[list[dict[int, int]], ...]:
+        return (self.rows, self.U, self.U_inv) if self.track else (self.rows,)
+
     def row_swap(self, i1: int, i2: int) -> None:
         if i1 == i2:
             return
-        self.rows[i1], self.rows[i2] = self.rows[i2], self.rows[i1]
-        if self.track:
-            self.U[i1], self.U[i2] = self.U[i2], self.U[i1]
-            for row in self.U_inv:
-                row[i1], row[i2] = row[i2], row[i1]
+        for store in self._row_indexed():
+            store[i1], store[i2] = store[i2], store[i1]
 
     def col_swap(self, j1: int, j2: int) -> None:
         col, pos = self.col, self.pos
@@ -66,29 +68,17 @@ class _SmithWorker:
         pos[col[j1]], pos[col[j2]] = j1, j2
 
     def row_neg(self, i: int) -> None:
-        self.rows[i] = {j: -v for j, v in self.rows[i].items()}
-        if self.track:
-            self.U[i] = [-v for v in self.U[i]]
-            for row in self.U_inv:
-                row[i] = -row[i]
+        for store in self._row_indexed():
+            store[i] = {j: -v for j, v in store[i].items()}
 
     def row_add(self, dst: int, src: int, c: int) -> None:
         """Row dst += c * row src."""
         if not c:
             return
-        target = self.rows[dst]
-        for j, v in self.rows[src].items():
-            w = target.get(j, 0) + c * v
-            if w:
-                target[j] = w
-            else:
-                target.pop(j, None)
+        _add_scaled(self.rows[dst], self.rows[src], c)
         if self.track:
-            udst, usrc = self.U[dst], self.U[src]
-            for k in range(self.m):
-                udst[k] += c * usrc[k]
-            for row in self.U_inv:
-                row[src] -= c * row[dst]
+            _add_scaled(self.U[dst], self.U[src], c)
+            _add_scaled(self.U_inv[src], self.U_inv[dst], -c)
 
     def col_add(self, dst: int, src: int, c: int) -> None:
         """Column dst += c * column src, which is nonzero in row src alone."""
@@ -102,11 +92,8 @@ class _SmithWorker:
         else:
             row.pop(kd, None)
         if self.track:
-            for row in self.V:
-                row[kd] += c * row[ks]
-            vsrc, vdst = self.V_inv[ks], self.V_inv[kd]
-            for k in range(self.n):
-                vsrc[k] -= c * vdst[k]
+            _add_scaled(self.V[kd], self.V[ks], c)
+            _add_scaled(self.V_inv[ks], self.V_inv[kd], -c)
 
     # --- the reduction itself ---
 
@@ -223,12 +210,14 @@ def _smith(rows: list[dict[int, int]], n_cols: int, transforms: bool) -> SmithNo
     worker = _SmithWorker(rows, n_cols, transforms)
     rank = worker.run()
     diag = tuple(worker._diag(t) if t < rank else 0 for t in range(min(m, n_cols)))
-    if transforms:  # from column keys to positions
-        worker.V = [[row[k] for k in worker.col] for row in worker.V]
-        worker.V_inv = [worker.V_inv[k] for k in worker.col]
-    return SmithNormalForm(
-        (m, n_cols), diag, rank, worker.U, worker.V, worker.U_inv, worker.V_inv
-    )
+    U = V = U_inv = V_inv = None
+    if transforms:  # dense, and from column keys to positions
+        keys = worker.col
+        U = [[row.get(j, 0) for j in range(m)] for row in worker.U]
+        U_inv = [[column.get(i, 0) for column in worker.U_inv] for i in range(m)]
+        V = [[worker.V[k].get(i, 0) for k in keys] for i in range(n_cols)]
+        V_inv = [[worker.V_inv[k].get(j, 0) for j in range(n_cols)] for k in keys]
+    return SmithNormalForm((m, n_cols), diag, rank, U, V, U_inv, V_inv)
 
 
 def in_column_span(rows: list[dict[int, int]], n_cols: int, z: Mapping[int, int]) -> bool:
@@ -269,10 +258,11 @@ class HomologySummary:
 
 
 def _rows(C: ChainComplex, k: int) -> list[dict[int, int]]:
-    """Smith worker rows of C's degree-k boundary, keys ascending."""
+    """Smith worker rows of C's degree-k boundary, keys ascending; a degree
+    outside C has no rows or no columns."""
     index = C._bases.get(k - 1, {})
     rows: list[dict[int, int]] = [{} for _ in index]
-    for j, tau in enumerate(C._bases[k]):
+    for j, tau in enumerate(C._bases.get(k, ())):
         for sigma, v in C._columns.get(k, {}).get(tau, {}).items():
             rows[index[sigma]][j] = v
     return rows
@@ -329,41 +319,32 @@ def cycle_class(C: ChainComplex, k: int, z: Mapping[Label, int]) -> CycleClass:
     if k < 0 or k > C.top_dim:
         raise ValueError(f"degree {k} out of range")
     index = C._bases[k]
-    zv = [0] * len(index)
-    for lab, coeff in z.items():
+    for lab in z:
         if lab not in index:
             raise ValueError(f"{lab!r} is not a degree-{k} generator")
-        zv[index[lab]] = coeff
+    zs = {index[lab]: v for lab, v in z.items() if v}
 
-    # in degree 0 the boundary has no rows, so V_inv is the identity
-    s = _smith(_rows(C, k), len(index), transforms=True)
-    rank = s.rank
-    vinv = s.V_inv
-    w_full = [
-        sum(vinv[a][i] * zv[i] for i in range(len(index)) if zv[i])
-        for a in range(len(index))
-    ]
-    if any(w_full[:rank]):
+    # w = V^-1 z; in degree 0 the boundary has no rows, so V^-1 is the identity
+    cycles = _SmithWorker(_rows(C, k), len(index), transforms=True)
+    rank = cycles.run()
+    vinv = [cycles.V_inv[key] for key in cycles.col]
+    w = [sum(row.get(i, 0) * v for i, v in zs.items()) for row in vinv]
+    if any(w[:rank]):
         raise ValueError("z is not a cycle")
-    w = w_full[rank:]
 
-    # the boundaries from degree k+1, written in kernel coordinates
-    ker_dim = len(index) - rank
-    B: list[dict[int, int]] = [{} for _ in range(ker_dim)]
-    above = C._columns.get(k + 1, {})
-    for j, tau in enumerate(C._bases.get(k + 1, ())):
-        col = [(index[sigma], v) for sigma, v in above.get(tau, {}).items()]
-        for a in range(ker_dim):
-            acc = sum(vinv[rank + a][i] * v for i, v in col)
-            if acc:
-                B[a][j] = acc
-    sb = _smith(B, C.size(k + 1), transforms=True)
-    u = [
-        sum(sb.U[a][b] * w[b] for b in range(ker_dim) if w[b])
-        for a in range(ker_dim)
-    ]
-    torsion = tuple(
-        (u[a] % d, d) for a, d in enumerate(sb.factors) if d > 1
-    )
-    free = tuple(u[sb.rank:])
-    return CycleClass(k, torsion, free)
+    # the boundaries from degree k+1, written in kernel coordinates: row a
+    # is the combination of the rows of d_(k+1) that row rank + a of V^-1 gives
+    above = _rows(C, k + 1)
+    B: list[dict[int, int]] = []
+    for row in vinv[rank:]:
+        b: dict[int, int] = {}
+        for i, v in row.items():
+            _add_scaled(b, above[i], v)
+        B.append(b)
+    bounds = _SmithWorker(B, C.size(k + 1), transforms=True)
+    rank_b = bounds.run()
+    wk = {a: v for a, v in enumerate(w[rank:]) if v}
+    u = [sum(row.get(a, 0) * v for a, v in wk.items()) for row in bounds.U]
+    factors = [bounds._diag(t) for t in range(rank_b)]
+    torsion = tuple((u[a] % d, d) for a, d in enumerate(factors) if d > 1)
+    return CycleClass(k, torsion, tuple(u[rank_b:]))

@@ -51,7 +51,8 @@ class SymbolTable:
         return self.names[vid]
 
     def decode_cell(self, cell: Cell) -> str:
-        return " ".join(self.decode(v) for v in cell)
+        names = map(str, cell) if self.names is None else map(self.names.__getitem__, cell)
+        return " ".join(names)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:

@@ -4,16 +4,24 @@ The pattern of the "No test oracles in the package" step is read from the
 workflow file, so the list of names has one source. The installed
 ``discmorse`` command is checked through what it is built from: the
 ``[project.scripts]`` entry of pyproject.toml, and ``discmorse.cli`` run
-as a program.
+as a program. The answers that step checks are checked again in process,
+through ``discmorse.cli.main``.
 """
 
+import json
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import discmorse
+from discmorse import corpus
+from discmorse.cli import main
+from discmorse.complexes import barycentric_subdivision
+from discmorse.io import format_complex, format_matching
+from discmorse.matchings import random_morse_matching
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(discmorse.__file__).resolve().parent
@@ -65,3 +73,56 @@ def test_the_cli_module_runs_as_a_program(tmp_path):
     refused = run_cli("subdivide", str(facets))
     assert refused.returncode == 2 and refused.stdout == ""
     assert refused.stderr.startswith("error: ") and "more than" in refused.stderr
+
+
+# --- the "Installed discmorse command" checks, in process through cli.main ---
+
+
+def results(capsys, *argv: str) -> dict:
+    code = main([*argv, "--json"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    return json.loads(out)["results"]
+
+
+def data(name: str) -> str:
+    return str(PACKAGE / "data" / f"{name}.facets")
+
+
+def sd2(X):
+    return barycentric_subdivision(barycentric_subdivision(X).complex).complex
+
+
+def test_subdivide_of_the_3_sphere(capsys):
+    r = results(capsys, "subdivide", data("sphere3"))
+    assert r["subdivision_cells"] == [30, 150, 240, 120] and r["euler_preserved"] is True
+    assert len(r["barycenters"]) == 30 and len(r["facets"]) == 120
+
+
+def test_morse_on_sd2_of_the_3_sphere_matches_dense_homology(tmp_path, capsys):
+    path = tmp_path / "sd2_sphere3.facets"
+    path.write_text(format_complex(sd2(corpus.sphere(3))))
+    r = results(capsys, "morse", str(path))
+    assert r["morse"] is True and r["homology_match"] is True
+
+
+def test_morse_finds_the_closed_vpath_of_a_torus_matching(tmp_path, capsys):
+    path = tmp_path / "torus_cycle.matching"
+    path.write_text("0 ; 0 1\n1 ; 1 2\n2 ; 0 2\n")
+    r = results(capsys, "morse", data("torus"), "--matching", str(path))
+    assert r["morse"] is False and r["closed_vpath"]
+
+
+def test_euler_on_the_torus_has_a_complete_matching(capsys):
+    r = results(capsys, "euler", data("torus"))
+    assert r["complete"] is True and r["boundary_ok"] is True
+
+
+def test_reduce_of_sd2_torus_lands_on_its_thom_smale_complex(tmp_path, capsys):
+    X = sd2(corpus.torus())
+    facets, matching = tmp_path / "sd2_torus.facets", tmp_path / "sd2_torus.matching"
+    facets.write_text(format_complex(X))
+    matching.write_text(format_matching(random_morse_matching(X, random.Random(0))))
+    r = results(capsys, "reduce", str(facets), "--matching", str(matching))
+    assert r["morse"] is True and r["matches_thom_smale"] is True
+    assert r["reduced_sizes"] == [1, 2, 1]

@@ -7,7 +7,7 @@ import pytest
 
 from discmorse import corpus
 from discmorse.chains import chain_complex
-from discmorse.complexes import SimplicialComplex, incidence
+from discmorse.complexes import SimplicialComplex, barycentric_subdivision, incidence
 from discmorse.homology import (
     CycleClass,
     HomologySummary,
@@ -224,6 +224,41 @@ def _sparse_rows(A):
     return [{j: v for j, v in enumerate(row) if v} for row in A]
 
 
+def _dense_transforms(worker):
+    # U by rows and U_inv by columns, both indexed like the rows; V by
+    # columns and V_inv by rows, both on column keys, put in position order
+    m, n, keys = worker.m, worker.n, worker.col
+    return (
+        [[row.get(j, 0) for j in range(m)] for row in worker.U],
+        [[worker.V[k].get(i, 0) for k in keys] for i in range(n)],
+        [[worker.U_inv[j].get(i, 0) for j in range(m)] for i in range(m)],
+        [[worker.V_inv[k].get(j, 0) for j in range(n)] for k in keys],
+    )
+
+
+def test_tracked_transforms_are_sparse_rows():
+    rng = random.Random(23)
+    for trial in range(400):
+        m, n = rng.randrange(0, 7), rng.randrange(0, 7)
+        A = [[rng.randrange(-6, 7) if rng.random() < 0.6 else 0 for _ in range(n)]
+             for _ in range(m)]
+        worker = _SmithWorker(_sparse_rows(A), n, transforms=True)
+        worker.run()
+        for T in (worker.U, worker.U_inv, worker.V, worker.V_inv):
+            assert all(isinstance(row, dict) and all(row.values()) for row in T)
+        s = smith_normal_form(A, n_cols=n)
+        assert _dense_transforms(worker) == (s.U, s.V, s.U_inv, s.V_inv), A
+    # d_1 of sd^2 torus, 252 x 756: dense transforms would hold 1,270,080 entries
+    X = barycentric_subdivision(barycentric_subdivision(corpus.torus()).complex).complex
+    C = chain_complex(X)
+    d1 = C.boundary(1)
+    worker = _SmithWorker(_sparse_rows(d1), C.size(1), transforms=True)
+    assert worker.run() == 251
+    transforms = (worker.U, worker.U_inv, worker.V, worker.V_inv)
+    assert sum(len(row) for T in transforms for row in T) < 20_000
+    assert all(all(row.values()) for T in transforms for row in T)
+
+
 def test_in_column_span_small_cases():
     assert in_column_span(_sparse_rows([[2]]), 1, {0: 4})
     assert not in_column_span(_sparse_rows([[2]]), 1, {0: 3})
@@ -348,3 +383,85 @@ def test_top_degree_cycles_classify_against_nothing_above():
     cc = cycle_class(C, 2, z)
     assert cc.dim == 2 and cc.torsion == ()
     assert len(cc.free) == 1 and abs(cc.free[0]) == 1
+
+
+def _spanning_tree_loops(X):
+    # one closed edge walk per edge outside a breadth-first spanning tree
+    # of the 1-skeleton: the edge, then back to it through the root
+    adjacent = {v: [] for (v,) in X.cells(0)}
+    for a, b in X.cells(1):
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    root = min(adjacent)
+    parent = {root: None}
+    queue = [root]
+    for v in queue:
+        for w in adjacent[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+
+    def to_root(v):
+        path = [v]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path
+
+    loops = []
+    for a, b in X.cells(1):
+        if parent[a] == b or parent[b] == a:
+            continue
+        walk = [a] + to_root(b) + to_root(a)[::-1][1:]
+        z = {}
+        for u, v in zip(walk, walk[1:]):
+            e = (min(u, v), max(u, v))
+            z[e] = z.get(e, 0) + (1 if u < v else -1)
+        loops.append({e: c for e, c in z.items() if c})
+    return loops
+
+
+def _subdivided_chain(sub, z):
+    # the edge (u, v) of X runs through the barycenter of (u, v) in sd X
+    b = sub.barycenter_of
+    out = {}
+    for (u, v), c in z.items():
+        mid = b[(u, v)]
+        for e, s in (((b[(u,)], mid), c), ((b[(v,)], mid), -c)):
+            out[e] = out.get(e, 0) + s
+    return out
+
+
+def _pinned_cycle_cases():
+    for name in ("torus", "klein_bottle", "projective_plane"):
+        X = corpus.load(name)
+        sub = barycentric_subdivision(X)
+        loops = _spanning_tree_loops(X)
+        for Y, zs in ((X, loops), (sub.complex, [_subdivided_chain(sub, z) for z in loops])):
+            C = chain_complex(Y)
+            for z in zs:
+                yield name, C, 1, z
+                yield name, C, 1, {e: 2 * c for e, c in z.items()}
+            for f in Y.cells(2)[:5]:
+                yield name, C, 1, {e: incidence(f, e) for e in (f[1:], f[::2], f[:2])}
+            for (v,) in Y.cells(0)[:5]:
+                yield name, C, 0, {(v,): 1}
+
+
+def test_cycle_class_coordinates_and_transforms_are_pinned():
+    # a SHA-256 over the coordinates cycle_class returns and the tracked
+    # Smith forms of d_1 and d_2 of sd torus, computed with dense transforms
+    digest = hashlib.sha256()
+    classes = []
+    for name, C, k, z in _pinned_cycle_cases():
+        cc = cycle_class(C, k, z)
+        classes.append(cc)
+        digest.update(repr((name, k, sorted(z.items()), cc)).encode())
+    C = chain_complex(barycentric_subdivision(corpus.torus()).complex)
+    for k in (1, 2):
+        s = smith_normal_form(C.boundary(k))
+        digest.update(repr((s.diagonal, s.U, s.V, s.U_inv, s.V_inv)).encode())
+    assert len(classes) == 228
+    # torsion on the Klein bottle and RP^2, free classes on the torus
+    assert sum(1 for cc in classes if cc.torsion and cc.torsion[0][0]) > 0
+    assert sum(1 for cc in classes if any(cc.free) and cc.dim == 1) > 0
+    assert digest.hexdigest() == "1913ae481908dd8daebebff4451ae12f5bae2c07f095b2817f8db892bf90e998"
