@@ -14,7 +14,7 @@ The package is organized bottom-up:
   only.
 - elimination: unit-pivot Gaussian elimination of matched pairs, and the
   check that elimination orders agree.
-- homology: integer Smith normal form with transforms, Betti numbers,
+- homology: the integer Smith normal form diagonal, Betti numbers,
   torsion, and cycle classification.
 - euler: complete matchings, Euler chains, rerouting, homologous tests.
 - io, corpus, cli: text formats, bundled examples, command line.

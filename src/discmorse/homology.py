@@ -2,16 +2,15 @@
 
 All arithmetic is exact over arbitrary-precision integers. The Smith
 routine picks the nonzero entry of minimal absolute value as pivot to
-curb coefficient growth and can track the unimodular row and column
-transforms together with their inverses, which is what cycle
-classification needs. Every step is an elementary operation: a swap, a
-negation, or adding a multiple of one row or column to another, where an
-added column is nonzero on its diagonal alone and so touches one row.
-Columns keep their keys and a swap permutes their positions alone, so
-it touches no row. The transforms are sparse like the matrix, each
-stored so that every operation it mirrors is a row operation on it: U by
-rows and U^-1 by columns, V by columns and V^-1 by rows on column keys.
-Dense transforms are built only for ``smith_normal_form``.
+curb coefficient growth, and yields the diagonal alone. Every step is an
+elementary operation: a swap, a negation, or adding a multiple of one row
+or column to another, where an added column is nonzero on its diagonal
+alone and so touches one row. Columns keep their keys and a swap
+permutes their positions alone, so it touches no row. A caller that needs
+U x or V^-1 y hands x or y to the worker as sparse dicts that take the
+row or column operations along: ``in_column_span`` carries its vector,
+``cycle_class`` the boundaries from the degree above with the cycle beside
+them, then the cycle's kernel coordinates.
 """
 
 from __future__ import annotations
@@ -19,42 +18,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .chains import ChainComplex, Label, Matrix, _add_scaled
+from .chains import ChainComplex, Label, _add_scaled
 
 
 class _SmithWorker:
-    """Row-sparse elimination of owned row dicts, which never store zeros,
-    with optional transforms stored the same way. The rows keep the column
-    keys they came with: ``col`` maps positions to keys and ``pos`` keys to
-    positions, so a column swap moves two entries of each and no row.
-    ``U`` holds the rows of U and ``U_inv`` the columns of U^-1, both
-    indexed like the rows, so a row swap or negation acts on one index of
-    all three. ``V`` holds the columns of V and ``V_inv`` the rows of V^-1,
-    both on column keys, untouched by a column swap. Column src of
-    ``col_add`` is nonzero in row src alone: the row pass has cleared it
-    below the pivot (rows above are diagonal), or the matrix is diagonal."""
+    """Row-sparse elimination of owned row dicts, which never store zeros.
+    The rows keep the column keys they came with: ``col`` maps positions to
+    keys and ``pos`` keys to positions, so a column swap moves two entries
+    of each and no row. Column src of ``col_add`` is nonzero in row src
+    alone: the row pass has cleared it below the pivot (rows above are
+    diagonal), or the matrix is diagonal.
 
-    def __init__(self, rows: list[dict[int, int]], n_cols: int, transforms: bool):
+    Two optional stores of dicts ride along. ``row_carry``, indexed like the
+    rows, takes every row operation the rows take, so it ends as U x for the
+    x it started as. ``col_carry``, on column keys, takes every column
+    addition as V^-1 does, so it ends as V^-1 y; a column swap touches
+    neither."""
+
+    def __init__(
+        self,
+        rows: list[dict[int, int]],
+        n_cols: int,
+        row_carry: list[dict[int, int]] | None = None,
+        col_carry: list[dict[int, int]] | None = None,
+    ):
         self.m = len(rows)
         self.n = n_cols
         self.rows = rows
         self.col = list(range(n_cols))
         self.pos = list(range(n_cols))
-        self.track = transforms
-        self.U = self.U_inv = self.V = self.V_inv = None
-        if transforms:
-            self.U = [{i: 1} for i in range(self.m)]
-            self.U_inv = [{i: 1} for i in range(self.m)]
-            self.V = [{k: 1} for k in range(self.n)]
-            self.V_inv = [{k: 1} for k in range(self.n)]
+        self.row_carry = row_carry
+        self.col_carry = col_carry
 
     def _diag(self, t: int) -> int:
         return self.rows[t][self.col[t]]
 
-    # --- elementary operations; all but the column swap mirrored on the transforms ---
+    # --- elementary operations; the row carry takes the row ones too ---
 
     def _row_indexed(self) -> tuple[list[dict[int, int]], ...]:
-        return (self.rows, self.U, self.U_inv) if self.track else (self.rows,)
+        return (self.rows,) if self.row_carry is None else (self.rows, self.row_carry)
 
     def row_swap(self, i1: int, i2: int) -> None:
         if i1 == i2:
@@ -76,9 +78,8 @@ class _SmithWorker:
         if not c:
             return
         _add_scaled(self.rows[dst], self.rows[src], c)
-        if self.track:
-            _add_scaled(self.U[dst], self.U[src], c)
-            _add_scaled(self.U_inv[src], self.U_inv[dst], -c)
+        if self.row_carry is not None:
+            _add_scaled(self.row_carry[dst], self.row_carry[src], c)
 
     def col_add(self, dst: int, src: int, c: int) -> None:
         """Column dst += c * column src, which is nonzero in row src alone."""
@@ -91,9 +92,8 @@ class _SmithWorker:
             row[kd] = w
         else:
             row.pop(kd, None)
-        if self.track:
-            _add_scaled(self.V[kd], self.V[ks], c)
-            _add_scaled(self.V_inv[ks], self.V_inv[kd], -c)
+        if self.col_carry is not None:
+            _add_scaled(self.col_carry[ks], self.col_carry[kd], -c)
 
     # --- the reduction itself ---
 
@@ -169,18 +169,12 @@ class _SmithWorker:
 
 @dataclass
 class SmithNormalForm:
-    """U * A * V = D with unimodular U, V; diagonal d_1 | d_2 | ... >= 0.
-
-    The transforms and their inverses are None when not requested.
-    """
+    """The diagonal of U * A * V = D for some unimodular U and V, with
+    d_1 | d_2 | ... >= 0."""
 
     shape: tuple[int, int]
     diagonal: tuple[int, ...]
     rank: int
-    U: Matrix | None
-    V: Matrix | None
-    U_inv: Matrix | None
-    V_inv: Matrix | None
 
     @property
     def factors(self) -> tuple[int, ...]:
@@ -188,48 +182,37 @@ class SmithNormalForm:
         return self.diagonal[: self.rank]
 
 
-def smith_normal_form(
-    A: Sequence[Sequence[int]],
-    n_cols: int | None = None,
-    transforms: bool = True,
-) -> SmithNormalForm:
+def smith_normal_form(A: Sequence[Sequence[int]], n_cols: int | None = None) -> SmithNormalForm:
     """Smith normal form of an integer matrix given as a list of rows.
 
-    ``n_cols`` disambiguates the width of matrices with zero rows. With
-    ``transforms=False`` only the diagonal is computed, which is cheaper.
+    ``n_cols`` disambiguates the width of matrices with zero rows.
     """
     if n_cols is None:
         n_cols = len(A[0]) if A else 0
     if any(len(row) != n_cols for row in A):
         raise ValueError("ragged matrix")
-    return _smith([{j: v for j, v in enumerate(row) if v} for row in A], n_cols, transforms)
+    return _smith(_SmithWorker([{j: v for j, v in enumerate(row) if v} for row in A], n_cols))
 
 
-def _smith(rows: list[dict[int, int]], n_cols: int, transforms: bool) -> SmithNormalForm:
-    m = len(rows)
-    worker = _SmithWorker(rows, n_cols, transforms)
+def _smith(worker: _SmithWorker) -> SmithNormalForm:
     rank = worker.run()
-    diag = tuple(worker._diag(t) if t < rank else 0 for t in range(min(m, n_cols)))
-    U = V = U_inv = V_inv = None
-    if transforms:  # dense, and from column keys to positions
-        keys = worker.col
-        U = [[row.get(j, 0) for j in range(m)] for row in worker.U]
-        U_inv = [[column.get(i, 0) for column in worker.U_inv] for i in range(m)]
-        V = [[worker.V[k].get(i, 0) for k in keys] for i in range(n_cols)]
-        V_inv = [[worker.V_inv[k].get(j, 0) for j in range(n_cols)] for k in keys]
-    return SmithNormalForm((m, n_cols), diag, rank, U, V, U_inv, V_inv)
+    diag = tuple(worker._diag(t) if t < rank else 0 for t in range(min(worker.m, worker.n)))
+    return SmithNormalForm((worker.m, worker.n), diag, rank)
 
 
 def in_column_span(rows: list[dict[int, int]], n_cols: int, z: Mapping[int, int]) -> bool:
     """Whether z (row -> entry) is an integer combination of the columns
     of the matrix with these sparse rows, which are consumed. It is when
-    appending z keeps the invariant factors: a larger column lattice has a
-    larger rank or a smaller index in its saturation, their product."""
-    s = _smith([dict(row) for row in rows], n_cols, transforms=False)
+    U z, carried through the elimination, is divisible by the diagonal
+    and vanishes past the rank."""
+    carry: list[dict[int, int]] = [{} for _ in rows]
     for i, v in z.items():
         if v:
-            rows[i][n_cols] = v
-    return s.factors == _smith(rows, n_cols + 1, transforms=False).factors
+            carry[i][0] = v
+    worker = _SmithWorker(rows, n_cols, row_carry=carry)
+    rank = worker.run()
+    u = [entry.get(0, 0) for entry in worker.row_carry]
+    return all(u[t] % worker._diag(t) == 0 for t in range(rank)) and not any(u[rank:])
 
 
 @dataclass(frozen=True)
@@ -278,7 +261,7 @@ def homology(C: ChainComplex) -> HomologySummary:
     ranks = [0] * (top + 2)
     torsion: list[tuple[int, ...]] = [()] * (top + 1)
     for k in range(1, top + 1):
-        s = _smith(_rows(C, k), C.size(k), transforms=False)
+        s = _smith(_SmithWorker(_rows(C, k), C.size(k)))
         ranks[k] = s.rank
         torsion[k - 1] = tuple(d for d in s.factors if d > 1)
     betti = tuple(
@@ -324,27 +307,25 @@ def cycle_class(C: ChainComplex, k: int, z: Mapping[Label, int]) -> CycleClass:
             raise ValueError(f"{lab!r} is not a degree-{k} generator")
     zs = {index[lab]: v for lab, v in z.items() if v}
 
-    # w = V^-1 z; in degree 0 the boundary has no rows, so V^-1 is the identity
-    cycles = _SmithWorker(_rows(C, k), len(index), transforms=True)
+    # V^-1 [d_(k+1) | z] from the rows of d_(k+1), with z as column n, carried
+    # through the Smith form of d_k; in degree 0 d_k has no rows, so V^-1 = I
+    n = C.size(k + 1)
+    above = _rows(C, k + 1)
+    for i, v in zs.items():
+        above[i][n] = v
+    cycles = _SmithWorker(_rows(C, k), len(index), col_carry=above)
     rank = cycles.run()
-    vinv = [cycles.V_inv[key] for key in cycles.col]
-    w = [sum(row.get(i, 0) * v for i, v in zs.items()) for row in vinv]
-    if any(w[:rank]):
+    carried = [above[key] for key in cycles.col]
+    if any(n in row for row in carried[:rank]):
         raise ValueError("z is not a cycle")
 
-    # the boundaries from degree k+1, written in kernel coordinates: row a
-    # is the combination of the rows of d_(k+1) that row rank + a of V^-1 gives
-    above = _rows(C, k + 1)
-    B: list[dict[int, int]] = []
-    for row in vinv[rank:]:
-        b: dict[int, int] = {}
-        for i, v in row.items():
-            _add_scaled(b, above[i], v)
-        B.append(b)
-    bounds = _SmithWorker(B, C.size(k + 1), transforms=True)
+    # the rest are the boundaries from degree k+1 in kernel coordinates, and
+    # z's kernel coordinates, carried as U w through their Smith form
+    B = carried[rank:]
+    w = [{0: row.pop(n)} if n in row else {} for row in B]
+    bounds = _SmithWorker(B, n, row_carry=w)
     rank_b = bounds.run()
-    wk = {a: v for a, v in enumerate(w[rank:]) if v}
-    u = [sum(row.get(a, 0) * v for a, v in wk.items()) for row in bounds.U]
+    u = [entry.get(0, 0) for entry in bounds.row_carry]
     factors = [bounds._diag(t) for t in range(rank_b)]
     torsion = tuple((u[a] % d, d) for a, d in enumerate(factors) if d > 1)
     return CycleClass(k, torsion, tuple(u[rank_b:]))

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the package against.
 
 They follow the definitions literally: V-paths are enumerated one by one,
-Smith forms are checked by matrix products, the Euler-chain boundary is
+Smith forms track all four transforms and are checked by matrix products,
+cycles are classified by those products, the Euler-chain boundary is
 read off the subdivision, Morse-ness is compared with elimination over
 many orders, elimination copies the complex for every pair, and faces are
 cut out of cell tuples by slicing. Several are exponential, cubic or
@@ -12,16 +13,17 @@ imports them.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from discmorse.chains import ChainComplex, Column, Label, chain_complex
+from discmorse.chains import ChainComplex, Column, Label, Matrix, _add_scaled, chain_complex
 from discmorse.complexes import (
     Cell, CellIndex, Orientation, SimplicialComplex, Subdivision, hyperfaces, incidence
 )
 from discmorse.elimination import EliminationStep, OrdersResult, all_orders_agree
 from discmorse.errors import EliminationError, NotMorseError
 from discmorse.euler import EulerChain
-from discmorse.homology import SmithNormalForm
+from discmorse.homology import CycleClass, SmithNormalForm, _SmithWorker, _smith
 from discmorse.matchings import Matching, Pair, _field, _steps, hasse, is_morse
 from discmorse.morse import _signed_counts
 
@@ -139,13 +141,72 @@ def _matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], n_cols_b: in
     return [[sum(a * B[k][j] for k, a in enumerate(row)) for j in range(n_cols_b)] for row in A]
 
 
-def snf_is_valid(A: Sequence[Sequence[int]], s: SmithNormalForm) -> bool:
+class TrackedSmith(_SmithWorker):
+    """The package's Smith worker with all four transforms, U A V = D. U
+    is carried by rows and V^-1 by columns, each from the identity; this
+    class mirrors every operation onto U^-1, kept by columns indexed like
+    the rows, and V, kept by columns on column keys. It replays the
+    worker's own operations, so the transforms are those of the package's
+    operation sequence."""
+
+    def __init__(self, rows: list[dict[int, int]], n_cols: int):
+        m = len(rows)
+        super().__init__(
+            rows, n_cols, [{i: 1} for i in range(m)], [{k: 1} for k in range(n_cols)]
+        )
+        self.U_inv = [{i: 1} for i in range(m)]
+        self.V = [{k: 1} for k in range(n_cols)]
+
+    def row_swap(self, i1: int, i2: int) -> None:
+        super().row_swap(i1, i2)
+        self.U_inv[i1], self.U_inv[i2] = self.U_inv[i2], self.U_inv[i1]
+
+    def row_neg(self, i: int) -> None:
+        super().row_neg(i)
+        self.U_inv[i] = {j: -v for j, v in self.U_inv[i].items()}
+
+    def row_add(self, dst: int, src: int, c: int) -> None:
+        super().row_add(dst, src, c)
+        if c:
+            _add_scaled(self.U_inv[src], self.U_inv[dst], -c)
+
+    def col_add(self, dst: int, src: int, c: int) -> None:
+        super().col_add(dst, src, c)
+        if c:
+            _add_scaled(self.V[self.col[dst]], self.V[self.col[src]], c)
+
+
+@dataclass
+class TrackedSmithForm(SmithNormalForm):
+    """A Smith form with its dense transforms, columns in position order."""
+
+    U: Matrix
+    V: Matrix
+    U_inv: Matrix
+    V_inv: Matrix
+
+
+def tracked_smith(A: Sequence[Sequence[int]], n_cols: int | None = None) -> TrackedSmithForm:
+    """``smith_normal_form`` of A with the transforms of ``TrackedSmith``."""
+    if n_cols is None:
+        n_cols = len(A[0]) if A else 0
+    w = TrackedSmith([{j: v for j, v in enumerate(row) if v} for row in A], n_cols)
+    s = _smith(w)
+    m, keys = len(A), w.col
+    return TrackedSmithForm(
+        s.shape, s.diagonal, s.rank,
+        U=[[row.get(j, 0) for j in range(m)] for row in w.row_carry],
+        V=[[w.V[k].get(i, 0) for k in keys] for i in range(n_cols)],
+        U_inv=[[column.get(i, 0) for column in w.U_inv] for i in range(m)],
+        V_inv=[[w.col_carry[k].get(j, 0) for j in range(n_cols)] for k in keys],
+    )
+
+
+def snf_is_valid(A: Sequence[Sequence[int]], s: TrackedSmithForm) -> bool:
     """The full contract: U A V = D, the divisibility chain, zeros past the
     rank, and U U^-1 = I, V V^-1 = I. The last two on integer matrices give
     det U * det U^-1 = 1 in Z, so U and V are unimodular."""
     m, n = s.shape
-    if s.U is None:
-        raise ValueError("transforms were not tracked")
     D = [[s.diagonal[i] if i == j else 0 for j in range(n)] for i in range(m)]
     if _matmul(_matmul(s.U, A, n), s.V, n) != D:
         return False
@@ -157,6 +218,28 @@ def snf_is_valid(A: Sequence[Sequence[int]], s: SmithNormalForm) -> bool:
         _matmul(T, T_inv, k) == [[int(i == j) for j in range(k)] for i in range(k)]
         for T, T_inv, k in ((s.U, s.U_inv, m), (s.V, s.V_inv, n))
     )
+
+
+def cycle_class_by_transforms(C: ChainComplex, k: int, z: dict[Label, int]) -> CycleClass:
+    """``cycle_class`` by products with tracked transforms: w = V^-1 z for
+    the V of d_k vanishes up to its rank, B = V^-1[rank:] d_(k+1) writes
+    the boundaries in kernel coordinates, and U w[rank:], for the U of B,
+    gives the class."""
+    if k < 0 or k > C.top_dim:
+        raise ValueError(f"degree {k} out of range")
+    basis = C.basis(k)
+    if not z.keys() <= set(basis):
+        raise ValueError("labels outside the basis")
+    s = tracked_smith(C.boundary(k), len(basis))
+    w = _matmul(s.V_inv, [[z.get(lab, 0)] for lab in basis], 1)
+    if any(row[0] for row in w[: s.rank]):
+        raise ValueError("z is not a cycle")
+    n = C.size(k + 1)
+    above = C.boundary(k + 1) if k < C.top_dim else [[] for _ in basis]
+    t = tracked_smith(_matmul(s.V_inv[s.rank:], above, n), n)
+    u = [row[0] for row in _matmul(t.U, w[s.rank:], 1)]
+    torsion = tuple((u[a] % d, d) for a, d in enumerate(t.factors) if d > 1)
+    return CycleClass(k, torsion, tuple(u[t.rank:]))
 
 
 # --- Euler chains ---

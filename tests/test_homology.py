@@ -1,12 +1,15 @@
 import copy
+import dataclasses
 import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discmorse import corpus
-from discmorse.chains import chain_complex
+from discmorse.chains import _add_scaled, chain_complex
 from discmorse.complexes import SimplicialComplex, barycentric_subdivision, incidence
 from discmorse.homology import (
     CycleClass,
@@ -17,7 +20,8 @@ from discmorse.homology import (
     in_column_span,
     smith_normal_form,
 )
-from oracles import snf_is_valid
+from oracles import TrackedSmith, cycle_class_by_transforms, snf_is_valid, tracked_smith
+from strategies import small_complexes
 
 
 def sphere(n):
@@ -66,8 +70,9 @@ def test_snf_full_contract_on_random_matrices():
     for _ in range(80):
         m, n = rng.randrange(0, 6), rng.randrange(0, 6)
         A = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(m)]
-        s = smith_normal_form(A, n_cols=n)
+        s = tracked_smith(A, n_cols=n)
         assert snf_is_valid(A, s), (A, s.diagonal)
+        assert smith_normal_form(A, n_cols=n).diagonal == s.diagonal
 
 
 def test_snf_diagonal_matches_sympy():
@@ -78,17 +83,17 @@ def test_snf_diagonal_matches_sympy():
     for _ in range(40):
         m, n = rng.randrange(1, 6), rng.randrange(1, 6)
         A = [[rng.randrange(-7, 8) for _ in range(n)] for _ in range(m)]
-        s = smith_normal_form(A, n_cols=n, transforms=False)
+        s = smith_normal_form(A, n_cols=n)
         sym = sym_snf(sympy.Matrix(A))
         assert list(s.diagonal) == [abs(sym[i, i]) for i in range(min(m, n))]
 
 
 def test_snf_without_transforms_has_no_matrices():
-    s = smith_normal_form([[4, 2]], transforms=False)
-    assert s.U is None and s.V is None and s.U_inv is None and s.V_inv is None
-    assert s.diagonal == (2,)
-    with pytest.raises(ValueError):
-        snf_is_valid([[4, 2]], s)
+    # the package computes the diagonal alone; transforms live in the tests
+    s = smith_normal_form([[4, 2]])
+    assert [f.name for f in dataclasses.fields(s)] == ["shape", "diagonal", "rank"]
+    assert s.diagonal == (2,) and s.factors == (2,)
+    assert not hasattr(s, "U")
 
 
 # (diagonal, U, V, U_inv, V_inv), computed before the divisibility step
@@ -115,7 +120,7 @@ PINNED_DIAGONAL_TRANSFORMS = {
 @pytest.mark.parametrize("d", sorted(PINNED_DIAGONAL_TRANSFORMS))
 def test_divisibility_step_transforms_are_pinned(d):
     A = [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
-    s = smith_normal_form(A)
+    s = tracked_smith(A)
     assert (s.diagonal, s.U, s.V, s.U_inv, s.V_inv) == PINNED_DIAGONAL_TRANSFORMS[d]
     assert snf_is_valid(A, s)
 
@@ -140,7 +145,7 @@ def test_divisibility_step_transforms_match_a_pinned_digest(monkeypatch):
         bound = rng.choice([2, 5, 12, 40])
         A = [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(m)]
         before = len(fixes)
-        s = smith_normal_form(A, n_cols=n)
+        s = tracked_smith(A, n_cols=n)
         if len(fixes) > before:
             needed += 1
             digest.update(repr((A, s.diagonal, s.U, s.V, s.U_inv, s.V_inv)).encode())
@@ -150,12 +155,13 @@ def test_divisibility_step_transforms_match_a_pinned_digest(monkeypatch):
 
 def test_col_add_only_ever_adds_a_column_nonzero_in_its_own_row(monkeypatch):
     # col_add updates row src alone, which is right only while column src
-    # has no other nonzero; check that at every call, before it runs
+    # has no other nonzero; check that at every call, before it runs, with
+    # and without a column store carried along
     calls = []
     add = _SmithWorker.col_add
 
     def checked(self, dst, src, c):
-        calls.append(self.track)
+        calls.append(self.col_carry is not None)
         key = self.col[src]
         others = [i for i, row in enumerate(self.rows) if i != src and row.get(key)]
         assert not others and self.rows[src].get(key), (src, others)
@@ -171,36 +177,48 @@ def test_col_add_only_ever_adds_a_column_nonzero_in_its_own_row(monkeypatch):
         else:  # diagonal, so the divisibility step runs on most of them
             A = [[rng.randrange(-bound, bound + 1) if i == j else 0 for j in range(n)]
                  for i in range(m)]
-        smith_normal_form(A, n_cols=n, transforms=trial % 8 < 4)
+        if trial % 8 < 4:
+            tracked_smith(A, n_cols=n)
+        else:
+            smith_normal_form(A, n_cols=n)
     for name in ("torus", "projective_plane", "klein_bottle", "sphere2"):
         X = corpus.load(name)
         homology(chain_complex(X))
+    start = len(calls)
+    _classify_corpus_loops()
+    assert True in calls[start:]
     assert {True, False} <= set(calls) and len(calls) > 1000
 
 
 def test_col_swap_moves_no_row_and_no_transform(monkeypatch):
-    # the rows keep their column keys and V, V_inv are kept on keys: a
-    # column swap only permutes positions
+    # the rows keep their column keys, and so do the column-carried store
+    # and the reference's V: a column swap only permutes positions, and
+    # leaves the carried stores and the reference's mirrors as they are
     calls = []
     swap = _SmithWorker.col_swap
 
     def checked(self, j1, j2):
-        rows = [dict(row) for row in self.rows]
-        transforms = copy.deepcopy((self.U, self.V, self.U_inv, self.V_inv))
+        stores = {k: v for k, v in vars(self).items() if k not in ("col", "pos")}
+        before = copy.deepcopy(stores)
         swap(self, j1, j2)
-        calls.append(j1 != j2)
-        assert self.rows == rows
-        assert (self.U, self.V, self.U_inv, self.V_inv) == transforms
+        calls.append((j1 != j2, self.row_carry is not None, self.col_carry is not None))
+        assert {k: v for k, v in vars(self).items() if k not in ("col", "pos")} == before
 
     monkeypatch.setattr(_SmithWorker, "col_swap", checked)
     rng = random.Random(13)
     for trial in range(600):
         m, n = rng.randrange(1, 7), rng.randrange(1, 7)
         A = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
-        smith_normal_form(A, n_cols=n, transforms=trial % 2 == 0)
+        if trial % 2 == 0:
+            tracked_smith(A, n_cols=n)
+        else:
+            smith_normal_form(A, n_cols=n)
     for name in ("torus", "projective_plane", "klein_bottle", "sphere2"):
         homology(chain_complex(corpus.load(name)))
-    assert sum(calls) > 1000
+    _classify_corpus_loops()
+    assert sum(moved for moved, _, _ in calls) > 1000
+    # swaps with each store carried alone, by cycle_class, and with both
+    assert {(True, False, True), (True, True, False), (True, True, True)} <= set(calls)
 
 
 def test_divisibility_pass_is_linear_on_a_unit_diagonal():
@@ -215,7 +233,7 @@ def test_divisibility_pass_is_linear_on_a_unit_diagonal():
             return diag(self, t)
 
     n = 400
-    assert Spy([{i: 1} for i in range(n)], n, transforms=False).run() == n
+    assert Spy([{i: 1} for i in range(n)], n).run() == n
     # the sign pass and the divisibility pass read each entry once
     assert len(reads) <= 2 * n
 
@@ -224,37 +242,30 @@ def _sparse_rows(A):
     return [{j: v for j, v in enumerate(row) if v} for row in A]
 
 
-def _dense_transforms(worker):
-    # U by rows and U_inv by columns, both indexed like the rows; V by
-    # columns and V_inv by rows, both on column keys, put in position order
-    m, n, keys = worker.m, worker.n, worker.col
-    return (
-        [[row.get(j, 0) for j in range(m)] for row in worker.U],
-        [[worker.V[k].get(i, 0) for k in keys] for i in range(n)],
-        [[worker.U_inv[j].get(i, 0) for j in range(m)] for i in range(m)],
-        [[worker.V_inv[k].get(j, 0) for j in range(n)] for k in keys],
-    )
+def _transforms(worker):
+    # U and V^-1 are the package's carried stores, U^-1 and V the mirrors
+    return (worker.row_carry, worker.U_inv, worker.V, worker.col_carry)
 
 
 def test_tracked_transforms_are_sparse_rows():
+    # the carried stores keep no zeros, as the rows do
     rng = random.Random(23)
     for trial in range(400):
         m, n = rng.randrange(0, 7), rng.randrange(0, 7)
         A = [[rng.randrange(-6, 7) if rng.random() < 0.6 else 0 for _ in range(n)]
              for _ in range(m)]
-        worker = _SmithWorker(_sparse_rows(A), n, transforms=True)
+        worker = TrackedSmith(_sparse_rows(A), n)
         worker.run()
-        for T in (worker.U, worker.U_inv, worker.V, worker.V_inv):
+        for T in _transforms(worker):
             assert all(isinstance(row, dict) and all(row.values()) for row in T)
-        s = smith_normal_form(A, n_cols=n)
-        assert _dense_transforms(worker) == (s.U, s.V, s.U_inv, s.V_inv), A
+        assert snf_is_valid(A, tracked_smith(A, n_cols=n)), A
     # d_1 of sd^2 torus, 252 x 756: dense transforms would hold 1,270,080 entries
     X = barycentric_subdivision(barycentric_subdivision(corpus.torus()).complex).complex
     C = chain_complex(X)
     d1 = C.boundary(1)
-    worker = _SmithWorker(_sparse_rows(d1), C.size(1), transforms=True)
+    worker = TrackedSmith(_sparse_rows(d1), C.size(1))
     assert worker.run() == 251
-    transforms = (worker.U, worker.U_inv, worker.V, worker.V_inv)
+    transforms = _transforms(worker)
     assert sum(len(row) for T in transforms for row in T) < 20_000
     assert all(all(row.values()) for T in transforms for row in T)
 
@@ -279,12 +290,28 @@ def test_in_column_span_agrees_with_the_row_transform():
             z = [sum(a * b for a, b in zip(row, x)) for row in A]
         else:
             z = [rng.randrange(-6, 7) for _ in range(m)]
-        s = smith_normal_form(A, n_cols=n)
+        s = tracked_smith(A, n_cols=n)
         w = [sum(u * v for u, v in zip(row, z)) for row in s.U]
         want = all(w[i] % s.diagonal[i] == 0 for i in range(s.rank)) and not any(w[s.rank:])
         got = in_column_span(_sparse_rows(A), n, dict(enumerate(z)))
         assert got == want, (A, z)
         assert got or trial % 2 == 0
+
+
+def test_in_column_span_runs_one_elimination(monkeypatch):
+    # U z is carried through the one Smith form of the matrix; appending z
+    # and eliminating again is not needed
+    runs = []
+    run = _SmithWorker.run
+
+    def counted(self):
+        runs.append(self.n)
+        return run(self)
+
+    monkeypatch.setattr(_SmithWorker, "run", counted)
+    assert in_column_span(_sparse_rows([[2, 0], [0, 3]]), 2, {0: 4, 1: 3})
+    assert not in_column_span(_sparse_rows([[2, 0], [0, 3]]), 2, {0: 3})
+    assert runs == [2, 2]
 
 
 # --- homology ---
@@ -387,19 +414,22 @@ def test_top_degree_cycles_classify_against_nothing_above():
 
 def _spanning_tree_loops(X):
     # one closed edge walk per edge outside a breadth-first spanning tree
-    # of the 1-skeleton: the edge, then back to it through the root
+    # of each component of the 1-skeleton: the edge, then back to it through the root
     adjacent = {v: [] for (v,) in X.cells(0)}
     for a, b in X.cells(1):
         adjacent[a].append(b)
         adjacent[b].append(a)
-    root = min(adjacent)
-    parent = {root: None}
-    queue = [root]
-    for v in queue:
-        for w in adjacent[v]:
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
+    parent = {}
+    for root in sorted(adjacent):  # a spanning forest when X is disconnected
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = [root]
+        for v in queue:
+            for w in adjacent[v]:
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
 
     def to_root(v):
         path = [v]
@@ -458,10 +488,44 @@ def test_cycle_class_coordinates_and_transforms_are_pinned():
         digest.update(repr((name, k, sorted(z.items()), cc)).encode())
     C = chain_complex(barycentric_subdivision(corpus.torus()).complex)
     for k in (1, 2):
-        s = smith_normal_form(C.boundary(k))
+        s = tracked_smith(C.boundary(k))
         digest.update(repr((s.diagonal, s.U, s.V, s.U_inv, s.V_inv)).encode())
     assert len(classes) == 228
     # torsion on the Klein bottle and RP^2, free classes on the torus
     assert sum(1 for cc in classes if cc.torsion and cc.torsion[0][0]) > 0
     assert sum(1 for cc in classes if any(cc.free) and cc.dim == 1) > 0
     assert digest.hexdigest() == "1913ae481908dd8daebebff4451ae12f5bae2c07f095b2817f8db892bf90e998"
+
+
+def _classify_corpus_loops():
+    # cycle_class carries the rows of d_2 through the Smith form of d_1 by
+    # columns, and the kernel coordinates of z through the next one by rows
+    for name in ("torus", "projective_plane", "klein_bottle"):
+        X = corpus.load(name)
+        C = chain_complex(X)
+        for z in _spanning_tree_loops(X)[:4]:
+            cycle_class(C, 1, z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes, st.randoms(use_true_random=False))
+def test_cycle_class_equals_the_transform_route(X, rng):
+    # cycles in every degree: a combination of boundaries of (k+1)-cells,
+    # plus a multiple of a vertex in degree 0 and of a loop in degree 1
+    C = chain_complex(X)
+    loops = _spanning_tree_loops(X)
+    for k in range(X.dim + 1):
+        z = {}
+        for tau in X.cells(k + 1):
+            _add_scaled(z, C.column(k + 1, tau), rng.choice((-2, -1, 1, 2)))
+        if k == 0:
+            _add_scaled(z, {X.cells(0)[0]: 1}, rng.choice((-2, -1, 1, 2)))
+        elif k == 1 and loops:
+            _add_scaled(z, rng.choice(loops), rng.choice((-2, -1, 1, 2)))
+        assert cycle_class(C, k, z) == cycle_class_by_transforms(C, k, z), (k, z)
+        if k:  # a k-cell is never a cycle, so adding one breaks z
+            broken = dict(z)
+            _add_scaled(broken, {X.cells(k)[0]: 1}, 1)
+            for route in (cycle_class, cycle_class_by_transforms):
+                with pytest.raises(ValueError, match="not a cycle"):
+                    route(C, k, broken)
