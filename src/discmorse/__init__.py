@@ -2,10 +2,9 @@
 
 The package is organized bottom-up:
 
-- complexes, chains: simplicial complexes, incidence signs, subdivision,
-  staircase products; ``ChainComplex(bases, boundaries)`` stores each
-  boundary as sparse columns ``boundaries[k] = {label: {face: coeff}}``,
-  and ``boundary(k)`` returns a dense copy.
+- complexes, chains: simplicial complexes, subdivision, staircase
+  products; ``ChainComplex(bases, boundaries)`` stores each boundary as
+  sparse columns ``boundaries[k] = {label: {face: coeff}}``.
 - matchings: (Morse) matchings on the Hasse diagram, which is the cell
   index (``hasse(X)`` is ``X.index()``); acyclicity, collapses, greedy and
   randomized matching search.
@@ -27,7 +26,6 @@ from .complexes import (
     Subdivision,
     as_cell,
     barycentric_subdivision,
-    incidence,
     product_triangulation,
 )
 from .elimination import (
@@ -67,7 +65,6 @@ from .matchings import (
     validate_matching,
 )
 from .morse import (
-    MorseComplex,
     reorient,
     simplicial_homology,
     thom_smale_complex,

@@ -7,7 +7,6 @@ from typing import Hashable, Iterable, Mapping
 from .complexes import Orientation, SimplicialComplex, _check_orientation
 
 Label = Hashable
-Matrix = list[list[int]]
 Column = dict[Label, int]
 
 
@@ -91,19 +90,6 @@ class ChainComplex:
         if label not in self._bases.get(k, {}):
             raise ValueError(f"{label!r} is not a degree-{k} generator")
         return dict(self._columns.get(k, {}).get(label, {}))
-
-    def boundary(self, k: int) -> Matrix:
-        """A dense copy of the degree-k boundary; degree 0 is 0 x n_0."""
-        if k == 0:
-            return []
-        if k < 1 or k > self.top_dim:
-            raise ValueError(f"no boundary in degree {k}")
-        rows = self._bases[k - 1]
-        mat = [[0] * len(self._bases[k]) for _ in rows]
-        for j, tau in enumerate(self._bases[k]):
-            for sigma, v in self._columns[k].get(tau, {}).items():
-                mat[rows[sigma]][j] = v
-        return mat
 
     def euler_characteristic(self) -> int:
         return sum(

@@ -63,10 +63,6 @@ def as_cell(vertices: Iterable[int]) -> Cell:
     return vs
 
 
-def cell_dim(cell: Cell) -> int:
-    return len(cell) - 1
-
-
 def hyperfaces(cell: Cell) -> list[Cell]:
     """Codimension-1 faces, in the order induced by dropped-vertex index."""
     if len(cell) == 1:
@@ -80,24 +76,6 @@ def proper_faces(cell: Cell) -> Iterator[Cell]:
     """All faces of strictly smaller dimension, dimension ascending."""
     for r in range(1, len(cell)):
         yield from itertools.combinations(cell, r)
-
-
-def incidence(tau: Cell, sigma: Cell, orientation: Orientation | None = None) -> int:
-    """Signed incidence number <d tau, sigma> in {-1, 0, +1}.
-
-    Nonzero exactly when sigma is a codimension-1 face of tau; the sign is
-    (-1)**i for the dropped vertex position, times any orientation flips.
-    """
-    if len(tau) != len(sigma) + 1:
-        return 0
-    sign = 0
-    for i in range(len(tau)):
-        if tau[:i] + tau[i + 1:] == sigma:
-            sign = -1 if i % 2 else 1
-            break
-    if sign and orientation:
-        sign *= orientation.get(tau, 1) * orientation.get(sigma, 1)
-    return sign
 
 
 class CellIndex(NamedTuple):

@@ -200,19 +200,28 @@ def _smith(worker: _SmithWorker) -> SmithNormalForm:
     return SmithNormalForm((worker.m, worker.n), diag, rank)
 
 
-def in_column_span(rows: list[dict[int, int]], n_cols: int, z: Mapping[int, int]) -> bool:
-    """Whether z (row -> entry) is an integer combination of the columns
-    of the matrix with these sparse rows, which are consumed. It is when
-    U z, carried through the elimination, is divisible by the diagonal
-    and vanishes past the rank."""
+def _carry_through(
+    rows: list[dict[int, int]], n_cols: int, x: Mapping[int, int]
+) -> tuple[list[int], list[int]]:
+    """U x and the nonzero invariant factors of the matrix with these
+    sparse rows, which are consumed; x maps rows to entries and is carried
+    through the elimination as one-entry row dicts."""
     carry: list[dict[int, int]] = [{} for _ in rows]
-    for i, v in z.items():
+    for i, v in x.items():
         if v:
             carry[i][0] = v
     worker = _SmithWorker(rows, n_cols, row_carry=carry)
     rank = worker.run()
     u = [entry.get(0, 0) for entry in worker.row_carry]
-    return all(u[t] % worker._diag(t) == 0 for t in range(rank)) and not any(u[rank:])
+    return u, [worker._diag(t) for t in range(rank)]
+
+
+def in_column_span(rows: list[dict[int, int]], n_cols: int, z: Mapping[int, int]) -> bool:
+    """Whether z (row -> entry) is an integer combination of the columns
+    of the matrix with these sparse rows, which are consumed. It is when
+    U z is divisible by the diagonal and vanishes past the rank."""
+    u, factors = _carry_through(rows, n_cols, z)
+    return all(a % d == 0 for a, d in zip(u, factors)) and not any(u[len(factors):])
 
 
 @dataclass(frozen=True)
@@ -322,10 +331,6 @@ def cycle_class(C: ChainComplex, k: int, z: Mapping[Label, int]) -> CycleClass:
     # the rest are the boundaries from degree k+1 in kernel coordinates, and
     # z's kernel coordinates, carried as U w through their Smith form
     B = carried[rank:]
-    w = [{0: row.pop(n)} if n in row else {} for row in B]
-    bounds = _SmithWorker(B, n, row_carry=w)
-    rank_b = bounds.run()
-    u = [entry.get(0, 0) for entry in bounds.row_carry]
-    factors = [bounds._diag(t) for t in range(rank_b)]
+    u, factors = _carry_through(B, n, {i: row.pop(n) for i, row in enumerate(B) if n in row})
     torsion = tuple((u[a] % d, d) for a, d in enumerate(factors) if d > 1)
-    return CycleClass(k, torsion, tuple(u[rank_b:]))
+    return CycleClass(k, torsion, tuple(u[len(factors):]))

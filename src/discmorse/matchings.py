@@ -379,28 +379,16 @@ def find_collapse(X: SimplicialComplex, X0: SimplicialComplex) -> Matching | Non
     return None if v is None else Matching._trusted(X.index(), v)
 
 
-def random_morse_matching(
-    X: SimplicialComplex, rng: random.Random, keep: float = 1.0
-) -> Matching:
+def random_morse_matching(X: SimplicialComplex, rng: random.Random) -> Matching:
     """A random Morse matching built by randomized collapse.
 
     Takes a random free pair while one exists, otherwise discards a random
-    coface-free cell as critical. With keep < 1 each collected pair is then
-    kept with that probability, which stays Morse and varies the critical
-    set.
+    coface-free cell as critical.
     """
     # _randbelow(n) is what rng.randrange(n) draws with for n >= 1
     v = _collapse_engine(X, (), rng._randbelow)
     assert v is not None  # a live cell of top dimension is always coface-free
-    H = X.index()
-    if keep < 1.0:
-        # one draw per pair, in the order of Matching.pairs(): by lower cell
-        kept = [-1] * len(v)
-        for c in sorted((c for c, t in enumerate(v) if t >= 0), key=H.cells.__getitem__):
-            if rng.random() < keep:
-                kept[c], kept[v[c]] = v[c], -2
-        v = kept
-    return Matching._trusted(H, v)
+    return Matching._trusted(X.index(), v)
 
 
 def greedy_morse_matching(X: SimplicialComplex) -> Matching:

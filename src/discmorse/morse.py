@@ -53,20 +53,11 @@ def _signed_counts(
     return memo
 
 
-class MorseComplex(ChainComplex):
-    """The critical-cell chain complex, with its origins attached."""
-
-    def __init__(self, bases, boundaries, complex: SimplicialComplex, matching: Matching):
-        super().__init__(bases, boundaries)
-        self.complex = complex
-        self.matching = matching
-
-
 def thom_smale_complex(
     X: SimplicialComplex,
     M: Matching,
     orientation: Orientation | None = None,
-) -> MorseComplex:
+) -> ChainComplex:
     """The chain complex on critical cells of a Morse matching.
 
     Bases are the critical cells in lexicographic order per dimension,
@@ -101,7 +92,7 @@ def thom_smale_complex(
                 cells[c]: sign * o.get(cells[c], 1) * n for c, n in acc.items()
             }
     bases = {k: [cells[c] for c in ids] for k, ids in critical.items()}
-    return MorseComplex(bases, boundaries, complex=X, matching=M)
+    return ChainComplex(bases, boundaries)
 
 
 def simplicial_homology(X: SimplicialComplex) -> HomologySummary:
@@ -119,7 +110,7 @@ def reorient(X: SimplicialComplex, flips: Iterable[Cell]) -> dict[Cell, int]:
     """Orientation table flipping the listed cells of X.
 
     The result maps each flipped cell to -1; pass it as the orientation
-    argument of incidence, ``chain_complex`` or ``thom_smale_complex``.
+    argument of ``chain_complex`` or ``thom_smale_complex``.
     Homology is unchanged by any choice of flips.
     """
     table: dict[Cell, int] = {}

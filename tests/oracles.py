@@ -16,9 +16,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from discmorse.chains import ChainComplex, Column, Label, Matrix, _add_scaled, chain_complex
+from discmorse.chains import ChainComplex, Column, Label, _add_scaled, chain_complex
 from discmorse.complexes import (
-    Cell, CellIndex, Orientation, SimplicialComplex, Subdivision, hyperfaces, incidence
+    Cell, CellIndex, Orientation, SimplicialComplex, Subdivision, hyperfaces
 )
 from discmorse.elimination import EliminationStep, OrdersResult, all_orders_agree
 from discmorse.errors import EliminationError, NotMorseError
@@ -26,6 +26,40 @@ from discmorse.euler import EulerChain
 from discmorse.homology import CycleClass, SmithNormalForm, _SmithWorker, _smith
 from discmorse.matchings import Matching, Pair, _field, _steps, hasse, is_morse
 from discmorse.morse import _signed_counts
+
+Matrix = list[list[int]]
+
+
+def incidence(tau: Cell, sigma: Cell, orientation: Orientation | None = None) -> int:
+    """Signed incidence number <d tau, sigma> in {-1, 0, +1}.
+
+    Nonzero exactly when sigma is a codimension-1 face of tau; the sign is
+    (-1)**i for the dropped vertex position, times any orientation flips.
+    """
+    if len(tau) != len(sigma) + 1:
+        return 0
+    sign = 0
+    for i in range(len(tau)):
+        if tau[:i] + tau[i + 1:] == sigma:
+            sign = -1 if i % 2 else 1
+            break
+    if sign and orientation:
+        sign *= orientation.get(tau, 1) * orientation.get(sigma, 1)
+    return sign
+
+
+def dense_boundary(C: ChainComplex, k: int) -> Matrix:
+    """A dense copy of C's degree-k boundary; degree 0 is 0 x n_0."""
+    if k == 0:
+        return []
+    if k < 1 or k > C.top_dim:
+        raise ValueError(f"no boundary in degree {k}")
+    rows = {sigma: i for i, sigma in enumerate(C.basis(k - 1))}
+    mat = [[0] * C.size(k) for _ in rows]
+    for j, tau in enumerate(C.basis(k)):
+        for sigma, v in C.column(k, tau).items():
+            mat[rows[sigma]][j] = v
+    return mat
 
 
 def hasse_edges(X: SimplicialComplex) -> list[Pair]:
@@ -48,6 +82,15 @@ def random_matching(X: SimplicialComplex, rng: random.Random, density: float = 0
             covered.update((sigma, tau))
             pairs.append((sigma, tau))
     return Matching(pairs)
+
+
+def thin_matching(M: Matching, rng: random.Random, keep: float) -> Matching:
+    """M with each pair kept with probability keep, which stays Morse when
+    M is and varies the critical set: one ``rng.random()`` per pair, in
+    ``M.pairs()`` order. M itself when keep >= 1, with no draw."""
+    if keep >= 1.0:
+        return M
+    return Matching(p for p in M.pairs() if rng.random() < keep)
 
 
 # --- V-paths, one by one ---
@@ -230,12 +273,12 @@ def cycle_class_by_transforms(C: ChainComplex, k: int, z: dict[Label, int]) -> C
     basis = C.basis(k)
     if not z.keys() <= set(basis):
         raise ValueError("labels outside the basis")
-    s = tracked_smith(C.boundary(k), len(basis))
+    s = tracked_smith(dense_boundary(C, k), len(basis))
     w = _matmul(s.V_inv, [[z.get(lab, 0)] for lab in basis], 1)
     if any(row[0] for row in w[: s.rank]):
         raise ValueError("z is not a cycle")
     n = C.size(k + 1)
-    above = C.boundary(k + 1) if k < C.top_dim else [[] for _ in basis]
+    above = dense_boundary(C, k + 1) if k < C.top_dim else [[] for _ in basis]
     t = tracked_smith(_matmul(s.V_inv[s.rank:], above, n), n)
     u = [row[0] for row in _matmul(t.U, w[s.rank:], 1)]
     torsion = tuple((u[a] % d, d) for a, d in enumerate(t.factors) if d > 1)

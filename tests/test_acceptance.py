@@ -34,7 +34,9 @@ from discmorse.matchings import (
     random_morse_matching,
 )
 from discmorse.morse import reorient, thom_smale_complex
-from oracles import boundary_zero_chain, hasse_edges, morse_iff_all_orders, random_matching
+from oracles import (
+    boundary_zero_chain, hasse_edges, morse_iff_all_orders, random_matching, thin_matching
+)
 
 
 @contextmanager
@@ -102,7 +104,7 @@ def test_criterion_2_morse_differential_squares_to_zero():
             thom_smale_complex(X, greedy_morse_matching(X))
             for i in range(200):
                 keep = 1.0 if i % 2 == 0 else 0.75
-                M = random_morse_matching(X, rng, keep=keep)
+                M = thin_matching(random_morse_matching(X, rng), rng, keep)
                 thom_smale_complex(X, M)  # constructor checks d o d = 0
 
 
@@ -115,7 +117,7 @@ def test_criterion_3_morse_homology_matches_simplicial():
                 assert homology(thom_smale_complex(X, M)) == hX, name
             for i in range(200):
                 keep = 1.0 if i % 2 == 0 else 0.75
-                M = random_morse_matching(X, rng, keep=keep)
+                M = thin_matching(random_morse_matching(X, rng), rng, keep)
                 assert homology(thom_smale_complex(X, M)) == hX, name
         # frozen reference values
         ht = homology(chain_complex(corpus.torus()))

@@ -209,6 +209,30 @@ def test_euler_explains_when_no_matching_exists(tmp_path, capsys):
     assert "warning: no complete matching: Euler characteristic is 2" in out
 
 
+def test_euler_explains_when_chi_is_zero_but_no_matching_is_perfect(tmp_path, capsys):
+    # a filled triangle beside a figure eight: chi = 1 - 1 = 0, yet the
+    # triangle's cells cannot all be paired among themselves
+    cx = write(tmp_path, "fig8.facets", "0 1 2\n3 4\n4 5\n3 5\n3 6\n6 7\n3 7\n")
+    code, out, err = run(capsys, ["euler", cx])
+    assert code == 0 and err == ""
+    assert "euler_characteristic: 0\ncomplete: False\n" in out
+    assert "warning: no complete matching: bipartite matching is not perfect\n" in out
+    assert "chain" not in out
+
+
+@pytest.mark.parametrize("command", ["reduce", "euler"])
+def test_reduce_and_euler_reject_invalid_matching_files(tmp_path, capsys, command):
+    cx = resources.files("discmorse").joinpath("data/sphere1.facets")
+    mt = write(tmp_path, "m.matching", "0 ; 0 1\n1 ; 0 1\n")
+    code, out, _ = run(capsys, [command, str(cx), "--matching", mt])
+    assert code == 0
+    assert "matching_valid: False\n" in out
+    assert (
+        "matching_problem: cell (0, 1) covered by both ((0,), (0, 1)) and ((1,), (0, 1))\n"
+    ) in out
+    assert "steps" not in out and "complete" not in out
+
+
 def test_euler_rejects_incomplete_matching_files(tmp_path, capsys):
     cx = write(tmp_path, "circle.facets", CIRCLE)
     mt = write(tmp_path, "m.matching", "0 ; 0 1\n")

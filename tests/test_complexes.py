@@ -8,13 +8,12 @@ from discmorse.complexes import (
     SimplicialComplex,
     as_cell,
     barycentric_subdivision,
-    cell_dim,
     hyperfaces,
-    incidence,
     product_triangulation,
     proper_faces,
 )
 from discmorse.errors import ParseError
+from oracles import incidence
 
 
 def test_as_cell_sorts_and_validates():
@@ -65,8 +64,6 @@ def test_as_cell_accepts_int_subclasses_through_the_full_checks():
 
 
 def test_cell_dim_and_faces():
-    assert cell_dim((7,)) == 0
-    assert cell_dim((0, 1, 2)) == 2
     assert hyperfaces((0, 1, 2)) == [(1, 2), (0, 2), (0, 1)]
     assert hyperfaces((3,)) == []
     assert sorted(proper_faces((0, 1, 2))) == [

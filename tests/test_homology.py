@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from discmorse import corpus
 from discmorse.chains import _add_scaled, chain_complex
-from discmorse.complexes import SimplicialComplex, barycentric_subdivision, incidence
+from discmorse.complexes import SimplicialComplex, barycentric_subdivision
 from discmorse.homology import (
     CycleClass,
     HomologySummary,
@@ -20,7 +20,9 @@ from discmorse.homology import (
     in_column_span,
     smith_normal_form,
 )
-from oracles import TrackedSmith, cycle_class_by_transforms, snf_is_valid, tracked_smith
+from oracles import (
+    TrackedSmith, cycle_class_by_transforms, dense_boundary, incidence, snf_is_valid, tracked_smith
+)
 from strategies import small_complexes
 
 
@@ -262,7 +264,7 @@ def test_tracked_transforms_are_sparse_rows():
     # d_1 of sd^2 torus, 252 x 756: dense transforms would hold 1,270,080 entries
     X = barycentric_subdivision(barycentric_subdivision(corpus.torus()).complex).complex
     C = chain_complex(X)
-    d1 = C.boundary(1)
+    d1 = dense_boundary(C, 1)
     worker = TrackedSmith(_sparse_rows(d1), C.size(1))
     assert worker.run() == 251
     transforms = _transforms(worker)
@@ -488,7 +490,7 @@ def test_cycle_class_coordinates_and_transforms_are_pinned():
         digest.update(repr((name, k, sorted(z.items()), cc)).encode())
     C = chain_complex(barycentric_subdivision(corpus.torus()).complex)
     for k in (1, 2):
-        s = tracked_smith(C.boundary(k))
+        s = tracked_smith(dense_boundary(C, k))
         digest.update(repr((s.diagonal, s.U, s.V, s.U_inv, s.V_inv)).encode())
     assert len(classes) == 228
     # torsion on the Klein bottle and RP^2, free classes on the torus

@@ -23,7 +23,7 @@ from discmorse.matchings import (
     random_morse_matching,
 )
 from discmorse.morse import reorient, thom_smale_complex
-from oracles import random_matching
+from oracles import dense_boundary, random_matching
 
 
 def digest(value) -> str:
@@ -92,7 +92,7 @@ def test_oriented_thom_smale_complexes_are_pinned(name):
     got = []
     for M in (random_morse_matching(X, random.Random(0)), greedy_morse_matching(X)):
         T = thom_smale_complex(X, M, orientation)
-        dense = [(T.basis(k), T.boundary(k)) for k in range(T.top_dim + 1)]
+        dense = [(T.basis(k), dense_boundary(T, k)) for k in range(T.top_dim + 1)]
         columns = [
             (k, tau, T.column(k, tau))
             for k in range(1, T.top_dim + 1)
