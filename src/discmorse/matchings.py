@@ -47,7 +47,7 @@ class Matching:
     see the pairs only.
     """
 
-    __slots__ = ("_up", "_down", "_on")
+    __slots__ = ("_up", "_on")
 
     def __init__(self, pairs: Iterable[Pair]):
         up: dict[Cell, Cell] = {}
@@ -66,7 +66,6 @@ class Matching:
             up[sigma] = tau
             down[tau] = sigma
         self._up = up  # the pairs, face -> coface
-        self._down = down
         self._on: tuple[CellIndex, list[int], bool | None] | None = None  # (H, field, Morse)
 
     @classmethod
@@ -76,7 +75,6 @@ class Matching:
         cells = H.cells
         M = cls.__new__(cls)
         M._up = {cells[c]: cells[t] for c, t in enumerate(v) if t >= 0}
-        M._down = {tau: sigma for sigma, tau in M._up.items()}
         M._on = (H, v, None)
         return M
 
@@ -85,11 +83,12 @@ class Matching:
         return self._up.get(sigma)
 
     def v_inverse(self, tau: Cell) -> Cell | None:
-        """The matched face of tau, or None."""
-        return self._down.get(tau)
+        """The matched face of tau, found among its hyperfaces, or None."""
+        up = self._up
+        return next((s for s in hyperfaces(tau) if up.get(s) == tau), None) if tau else None
 
     def covers(self, cell: Cell) -> bool:
-        return cell in self._up or cell in self._down
+        return cell in self._up or self.v_inverse(cell) is not None
 
     def pairs(self) -> tuple[Pair, ...]:
         return tuple(sorted(self._up.items()))
@@ -295,18 +294,21 @@ def _steps(M: Matching, sigma: Cell) -> Iterator[Cell]:
     return iter(() if tau is None else [c for c in hyperfaces(tau) if c != sigma])
 
 
-def _collapse_engine(X: SimplicialComplex, keep: Iterable[Cell], pick) -> list[int] | None:
-    """Shared removal loop on cell ids, down to the subcomplex keep: take a
-    free pair while one exists, else discard a coface-free cell as critical.
+def _collapse_engine(X: SimplicialComplex, keep: Iterable[Cell], bits) -> list[int] | None:
+    """Removal loop on cell ids, down to the subcomplex keep: take a free
+    pair while one exists, else discard a coface-free cell as critical.
     Returns the collected pairs as a field on ``X.index()`` (see
     :func:`_field`).
 
-    pick(n) draws which of n candidates to try next. Without pick the free
-    pair with the smallest lower id is taken and nothing is discarded, so
-    getting stuck gives None. Candidates start in sorted(cell) order, are
-    added in hyperfaces order, and stale ones are dropped on contact.
-    Removal times strictly increase along V-paths of the collected pairs,
-    so they always form a Morse matching.
+    bits is an rng's ``getrandbits``: which of n candidates to try next is
+    the draw ``rng.randrange(n)`` would make, one per candidate tried, stale
+    ones included, so rng ends as after those randrange calls. Without bits
+    the free pair with the smallest lower id is taken and nothing is
+    discarded, so getting stuck gives None. Candidates start in
+    sorted(cell) order, are added in hyperfaces order, and a stale one is
+    dropped on contact by moving the last into its place. Removal times
+    strictly increase along V-paths of the collected pairs, so they always
+    form a Morse matching.
     """
     cells, id_of, faces, cofaces = X.index()
     v = [-1] * len(cells)
@@ -318,51 +320,55 @@ def _collapse_engine(X: SimplicialComplex, keep: Iterable[Cell], pick) -> list[i
     free = sorted((c for c, n in enumerate(count) if n == 1 and alive[c]), key=cells.__getitem__)
     tops = sorted((c for c, n in enumerate(count) if n == 0 and alive[c]), key=cells.__getitem__)
     heap: list[int] = []
-
-    def remove_cell(c: int) -> None:
-        alive[c] = 0
-        for f in faces[c]:
-            if alive[f]:
-                count[f] -= 1
-                if count[f] == 1:
-                    free.append(f)
-                elif count[f] == 0:
-                    tops.append(f)
-
-    def take(cands: list[int], want: int) -> int | None:
-        while cands:
-            i = pick(len(cands))
-            c = cands[i]
-            if alive[c] and count[c] == want:
-                del cands[i]
-                return c
-            cands[i] = cands[-1]
-            cands.pop()
-        return None
-
-    def smallest_free() -> int | None:
-        while free:
-            heapq.heappush(heap, free.pop())
-        while heap:
-            c = heapq.heappop(heap)
-            if alive[c] and count[c] == 1:  # a stale cell never turns live again
-                return c
-        return None
-
     while left:
-        sigma = take(free, 1) if pick else smallest_free()
-        if sigma is not None:
-            tau = next(t for t in cofaces[sigma] if alive[t])
-            v[sigma], v[tau] = tau, -2
-            remove_cell(tau)
-            remove_cell(sigma)
-            left -= 2
-            continue
-        top = take(tops, 0) if pick else None
-        if top is None:
-            return None
-        remove_cell(top)
-        left -= 1
+        if bits is None:  # the smallest free id; a stale cell never turns live again
+            while free:
+                heapq.heappush(heap, free.pop())
+            while heap:
+                c = heapq.heappop(heap)
+                if alive[c] and count[c] == 1:
+                    break
+            else:
+                return None
+            want = 1
+        else:  # randrange's rejection loop, free cells first, then tops
+            cands, want = free, 1
+            while True:
+                n = len(cands)
+                if not n:
+                    if not want:
+                        return None
+                    cands, want = tops, 0
+                    continue
+                k = n.bit_length()
+                i = bits(k)
+                while i >= n:
+                    i = bits(k)
+                c = cands[i]
+                if alive[c] and count[c] == want:
+                    del cands[i]
+                    break
+                cands[i] = cands[-1]
+                cands.pop()
+        if want:  # remove the pair (c, its one live coface), the coface first
+            for tau in cofaces[c]:
+                if alive[tau]:
+                    break
+            v[c], v[tau] = tau, -2
+            dead: tuple[int, ...] = (tau, c)
+        else:  # c stays critical
+            dead = (c,)
+        left -= len(dead)
+        for d in dead:
+            alive[d] = 0
+            for f in faces[d]:
+                if alive[f]:
+                    n = count[f] - 1
+                    count[f] = n
+                    if n == 1:
+                        free.append(f)
+                    elif not n:
+                        tops.append(f)
     return v
 
 
@@ -383,10 +389,10 @@ def random_morse_matching(X: SimplicialComplex, rng: random.Random) -> Matching:
     """A random Morse matching built by randomized collapse.
 
     Takes a random free pair while one exists, otherwise discards a random
-    coface-free cell as critical.
+    coface-free cell as critical. Each candidate tried, stale ones
+    included, costs the draw ``rng.randrange(n)`` makes among the n left.
     """
-    # _randbelow(n) is what rng.randrange(n) draws with for n >= 1
-    v = _collapse_engine(X, (), rng._randbelow)
+    v = _collapse_engine(X, (), rng.getrandbits)
     assert v is not None  # a live cell of top dimension is always coface-free
     return Matching._trusted(X.index(), v)
 

@@ -4,14 +4,16 @@ They follow the definitions literally: V-paths are enumerated one by one,
 Smith forms track all four transforms and are checked by matrix products,
 cycles are classified by those products, the Euler-chain boundary is
 read off the subdivision, Morse-ness is compared with elimination over
-many orders, elimination copies the complex for every pair, and faces are
-cut out of cell tuples by slicing. Several are exponential, cubic or
+many orders, elimination copies the complex for every pair, faces are
+cut out of cell tuples by slicing, and the collapse engine keeps the
+nested-function form it had before its one-loop rewrite. Several are exponential, cubic or
 quadratic, so they are for small inputs, and no module of the package
 imports them.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -419,3 +421,73 @@ def facets_by_slices(X: SimplicialComplex) -> tuple[Cell, ...]:
     for c in X.all_cells():
         covered.update(hyperfaces_by_slices(c))
     return tuple(c for c in X.all_cells() if c not in covered)
+
+
+# --- collapses ---
+
+
+def reference_collapse(X: SimplicialComplex, keep: Iterable[Cell], pick) -> list[int] | None:
+    """The collapse engine as the package had it before its one-loop
+    rewrite, kept verbatim: nested functions for removal, draws and the
+    smallest-id heap. random_morse_matching(X, rng) must give the field of
+    reference_collapse(X, (), rng._randbelow) and leave rng in the same
+    state; find_collapse(X, X0) that of reference_collapse(X, X0 cells,
+    None), None included. Candidates start in sorted(cell) order, are
+    added in hyperfaces order, and stale ones are dropped on contact.
+    """
+    cells, id_of, faces, cofaces = X.index()
+    v = [-1] * len(cells)
+    alive = bytearray([1]) * len(cells)
+    for c in keep:
+        alive[id_of[c]] = 0
+    left = alive.count(1)
+    count = [len(ups) for ups in cofaces]  # a live cell's cofaces are all live
+    free = sorted((c for c, n in enumerate(count) if n == 1 and alive[c]), key=cells.__getitem__)
+    tops = sorted((c for c, n in enumerate(count) if n == 0 and alive[c]), key=cells.__getitem__)
+    heap: list[int] = []
+
+    def remove_cell(c: int) -> None:
+        alive[c] = 0
+        for f in faces[c]:
+            if alive[f]:
+                count[f] -= 1
+                if count[f] == 1:
+                    free.append(f)
+                elif count[f] == 0:
+                    tops.append(f)
+
+    def take(cands: list[int], want: int) -> int | None:
+        while cands:
+            i = pick(len(cands))
+            c = cands[i]
+            if alive[c] and count[c] == want:
+                del cands[i]
+                return c
+            cands[i] = cands[-1]
+            cands.pop()
+        return None
+
+    def smallest_free() -> int | None:
+        while free:
+            heapq.heappush(heap, free.pop())
+        while heap:
+            c = heapq.heappop(heap)
+            if alive[c] and count[c] == 1:  # a stale cell never turns live again
+                return c
+        return None
+
+    while left:
+        sigma = take(free, 1) if pick else smallest_free()
+        if sigma is not None:
+            tau = next(t for t in cofaces[sigma] if alive[t])
+            v[sigma], v[tau] = tau, -2
+            remove_cell(tau)
+            remove_cell(sigma)
+            left -= 2
+            continue
+        top = take(tops, 0) if pick else None
+        if top is None:
+            return None
+        remove_cell(top)
+        left -= 1
+    return v

@@ -27,7 +27,9 @@ from discmorse.matchings import (
     validate_matching,
 )
 from discmorse.morse import thom_smale_complex
-from oracles import differential_entry, hasse_edges, random_matching, thin_matching
+from oracles import (
+    differential_entry, hasse_edges, random_matching, reference_collapse, thin_matching
+)
 from strategies import small_complexes, tetrahedra_rings
 
 
@@ -107,6 +109,18 @@ def test_validate_matching_reports_first_problem():
     assert not bad.ok and "not a Hasse edge" in bad.problem
     dup = validate_matching(H, [((0,), (0, 1)), ((1,), (0, 1))])
     assert not dup.ok and "covered by both" in dup.problem
+
+
+@pytest.mark.parametrize("density", [0.3, 0.5, 0.7, 1.0])
+def test_v_inverse_and_covers_agree_with_the_pairs(density):
+    X = corpus.torus()
+    outside = [(), (0,), (90,), (0, 90), (90, 91), (1, 0), (0, 1, 2, 3, 4)]
+    for seed in range(5):
+        M = random_matching(X, random.Random(seed), density)
+        down = {tau: sigma for sigma, tau in M.pairs()}
+        for c in list(X.all_cells()) + outside:
+            assert M.v_inverse(c) == down.get(c)
+            assert M.covers(c) == (M.v(c) is not None or c in down)
 
 
 def test_critical_cells_lists_every_dimension():
@@ -259,6 +273,46 @@ def test_find_collapse_prism_onto_its_bottom_face():
     crit = critical_cells(prism, M)
     crit_cells = {c for cells in crit.values() for c in cells}
     assert crit_cells == set(bottom.all_cells())
+
+
+def _random_subcomplex(X: SimplicialComplex, rng: random.Random) -> SimplicialComplex:
+    """The closure of a random nonempty set of cells of X."""
+    cells = list(X.all_cells())
+    return SimplicialComplex.from_facets(rng.sample(cells, rng.randint(1, min(4, len(cells)))))
+
+
+def _check_collapses_against_the_reference(X: SimplicialComplex, seeds) -> None:
+    H = X.index()
+    for s in seeds:
+        rng, ref_rng = random.Random(s), random.Random(s)
+        M = random_morse_matching(X, rng)
+        assert matchings._field(H, M) == reference_collapse(X, (), ref_rng._randbelow)
+        assert rng.getstate() == ref_rng.getstate()  # later draws of rng stay the same
+        X0 = SimplicialComplex([X.cells(0)[s % len(X.cells(0))]])
+        for sub in (X0, _random_subcomplex(X, random.Random(s))):
+            got, want = find_collapse(X, sub), reference_collapse(X, sub.all_cells(), None)
+            assert (None if got is None else matchings._field(H, got)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_complexes, st.integers(0, 2**32 - 1))
+def test_collapses_equal_the_reference_engine(X, seed):
+    _check_collapses_against_the_reference(X, [seed, seed + 1])
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_collapses_of_subdivided_corpus_equal_the_reference_engine(name):
+    sd1 = barycentric_subdivision(corpus.build(name)).complex
+    sd2 = barycentric_subdivision(sd1).complex
+    _check_collapses_against_the_reference(sd1, range(4))
+    _check_collapses_against_the_reference(sd2, range(2 if sd2.n_cells < 20000 else 1))
+
+
+def test_random_morse_matching_needs_an_rng():
+    X = circle()
+    for rng in (None, object()):
+        with pytest.raises(AttributeError):
+            random_morse_matching(X, rng)
 
 
 # --- random and greedy constructions ---
