@@ -21,7 +21,7 @@ from .complexes import (
     barycentric_subdivision,
     product_triangulation,
 )
-from .elimination import EliminationError, _Reduction, all_orders_agree
+from .elimination import _Reduction, all_orders_agree
 from .errors import DiscMorseError, MatchingError, ParseError
 from .euler import (
     complete_matching,
@@ -246,21 +246,17 @@ def cmd_reduce(args: argparse.Namespace) -> Report:
             raise ParseError("--order must be a permutation of 0..n-1 over matching lines")
         order = [pairs[i] for i in idx]
     order = list(dict.fromkeys(order))  # a repeated line is eliminated once
-    steps = []
     R = _Reduction(C)
-    for i, (sigma, tau) in enumerate(order):
-        pair = f"{table.decode_cell(sigma)} ; {table.decode_cell(tau)}"
-        try:
-            pivot = R.eliminate(sigma, tau)
-        except EliminationError as exc:
-            report.put("steps", steps)
-            report.put("failed_step", i)
-            report.put("failed_pair", pair)
-            report.put("failed_pivot", exc.pivot)
-            return report
-        steps.append(f"{pair} ; pivot {pivot}")
+    pivots, failure = R.run(order)
+    # names of the steps taken and of the failed one, if any
+    names = [" ; ".join(map(table.decode_cell, pair)) for pair in order[: len(pivots) + 1]]
+    report.put("steps", [f"{n} ; pivot {p}" for n, p in zip(names, pivots)])
+    if failure is not None:
+        report.put("failed_step", failure.step)
+        report.put("failed_pair", names[failure.step])
+        report.put("failed_pivot", failure.pivot)
+        return report
     current = R.complex()
-    report.put("steps", steps)
     report.put("reduced_sizes", [current.size(k) for k in range(current.top_dim + 1)])
     report.put("reduced_differential", _differential_lines(current, table))
     if morse:

@@ -13,9 +13,10 @@ labels keep their identity and order; ``all_orders_agree`` tries orders
 and compares their outcomes.
 
 Cost model: one reduction copies the complex's outer dicts once and keeps
-a row index (label -> the columns holding it), so a step rewrites only the
-columns that hold its two generators, each into a new dict, and never
-changes the input's columns. Basis positions are renumbered once per
+a row index (label -> the columns holding it). A step runs one column
+update twice, on its own degree and on the one above, and each run
+rewrites only the columns holding its label, each into a new dict. One
+step loop serves every caller. Basis positions are renumbered once per
 reduction, at the end, so a sequence of pairs costs about the entries it
 rewrites rather than the size of the complex at every step.
 """
@@ -35,21 +36,6 @@ from .matchings import Matching, Pair
 class EliminationStep(NamedTuple):
     lower: Label  # generator of degree i-1 (a row of the degree-i boundary)
     upper: Label  # generator of degree i (a column of the same matrix)
-
-
-def _rewrite(col: Column, gamma: Column, f: int) -> Column:
-    """col - f * gamma as a new column, zero entries dropped; entries of
-    col keep their places and new ones follow in gamma's order."""
-    out = dict(col)
-    _add_scaled(out, gamma, -f)
-    return out
-
-
-def _drop(col: Column, label: Label) -> Column:
-    """col less the entry of label, as a new column."""
-    out = dict(col)
-    del out[label]
-    return out
 
 
 class _Reduction:
@@ -99,32 +85,44 @@ class _Reduction:
             )
         del bases[i][upper], bases[i - 1][lower], cols[upper]
         # eps - gamma * pivot^-1 * delta, pivot^-1 = pivot; lower cancels
-        rows = self._holders(i)
-        for t in rows.pop(lower, ()):
-            old = cols.get(t)
-            if old is None or lower not in old:
-                continue  # stale: t is gone, or has lost lower already
-            col = _rewrite(old, gamma, old[lower] * pivot)
-            if col:
-                cols[t] = col
-                for sigma in gamma.keys() - old.keys():
-                    rows[sigma].append(t)
-            else:
-                del cols[t]
+        self._cancel(i, lower, gamma, pivot)
         if i + 1 in self.columns:
-            above = self.columns[i + 1]
-            for r in self._holders(i + 1).pop(upper, ()):
-                col = above.get(r)
-                if col is None or upper not in col:
-                    continue
-                col = _drop(col, upper)
-                if col:
-                    above[r] = col
-                else:
-                    del above[r]
+            self._cancel(i + 1, upper, {upper: 1}, 1)
         if i - 1 in self.columns:
             self.columns[i - 1].pop(lower, None)
         return pivot
+
+    def _cancel(self, k: int, label: Label, gamma: Column, scale: int) -> None:
+        """Every degree-k column t holding label becomes the new dict
+        t - t[label] * scale * gamma; a column that comes to zero goes."""
+        cols, rows = self.columns[k], self._holders(k)
+        for t in rows.pop(label, ()):
+            old = cols.get(t)
+            if old is None or label not in old:
+                continue  # stale: t is gone, or has lost label already
+            col = dict(old)
+            _add_scaled(col, gamma, -old[label] * scale)
+            if col:
+                cols[t] = col
+                for sigma in gamma:
+                    if sigma not in old:
+                        rows[sigma].append(t)
+            else:
+                del cols[t]
+
+    def run(self, pairs: Iterable[Pair]) -> tuple[list[int], EliminationError | None]:
+        """Eliminate (lower, upper) pairs in order up to the first failure:
+        the pivots of the steps taken, and that failure with its 0-based
+        step index, pair and pivot, or None."""
+        pivots: list[int] = []
+        for idx, (sigma, tau) in enumerate(pairs):
+            try:
+                pivots.append(self.eliminate(sigma, tau))
+            except EliminationError as exc:
+                return pivots, EliminationError(
+                    f"step {idx}: {exc.args[0]}", step=idx, pair=(sigma, tau), pivot=exc.pivot
+                )
+        return pivots, None
 
     def complex(self) -> ChainComplex:
         """The reduced complex, basis positions renumbered."""
@@ -145,21 +143,6 @@ def gaussian_eliminate(C: ChainComplex, step: EliminationStep | Pair) -> ChainCo
     return R.complex()
 
 
-def _eliminate_all(C: ChainComplex, pairs: Sequence[Pair]) -> ChainComplex:
-    R = _Reduction(C)
-    for idx, (sigma, tau) in enumerate(pairs):
-        try:
-            R.eliminate(sigma, tau)
-        except EliminationError as exc:
-            raise EliminationError(
-                f"step {idx}: {exc.args[0]}",
-                step=idx,
-                pair=(sigma, tau),
-                pivot=exc.pivot,
-            ) from None
-    return R.complex()
-
-
 def eliminate_sequence(
     C: ChainComplex, M: Matching, order: Sequence[Pair] | None = None
 ) -> ChainComplex:
@@ -171,7 +154,10 @@ def eliminate_sequence(
     pairs = M.pairs() if order is None else tuple(order)
     if sorted(pairs) != sorted(M.pairs()):
         raise ValueError("order must be a permutation of the matching's pairs")
-    return _eliminate_all(C, pairs)
+    R = _Reduction(C)
+    if (failure := R.run(pairs)[1]) is not None:
+        raise failure
+    return R.complex()
 
 
 class OrdersResult(NamedTuple):
@@ -206,18 +192,21 @@ def all_orders_agree(
     """Try elimination orders and compare outcomes.
 
     Exhaustive over all |M|! permutations for |M| <= 8, otherwise the
-    sorted order plus seeded random shuffles, max_orders in total.
+    sorted order plus seeded random shuffles, max_orders in total; raises
+    ValueError when max_orders < 1.
     """
+    if max_orders < 1:
+        raise ValueError(f"max_orders must be at least 1, got {max_orders}")
     pairs = M.pairs()
     exhaustive, orders = _iter_orders(pairs, max_orders, seed)
     reference: ChainComplex | None = None
     tested = 0
     for order in orders:
         tested += 1
-        try:
-            reduced = _eliminate_all(C, order)
-        except EliminationError as exc:
-            return OrdersResult(False, tested, exhaustive, None, exc, tuple(order))
+        R = _Reduction(C)
+        if (failure := R.run(order)[1]) is not None:
+            return OrdersResult(False, tested, exhaustive, None, failure, tuple(order))
+        reduced = R.complex()
         if reference is None:
             reference = reduced
         elif reduced != reference:

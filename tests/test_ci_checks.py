@@ -113,6 +113,14 @@ def test_morse_finds_the_closed_vpath_of_a_torus_matching(tmp_path, capsys):
     assert r["morse"] is False and r["closed_vpath"]
 
 
+def test_reduce_stops_at_the_zero_pivot_of_a_torus_matching(tmp_path, capsys):
+    path = tmp_path / "torus_cycle.matching"
+    path.write_text("0 ; 0 1\n1 ; 1 2\n2 ; 0 2\n")
+    r = results(capsys, "reduce", data("torus"), "--matching", str(path))
+    assert r["morse"] is False and r["failed_step"] == 2 and r["failed_pivot"] == 0
+    assert len(r["steps"]) == 2
+
+
 def test_euler_on_the_torus_has_a_complete_matching(capsys):
     r = results(capsys, "euler", data("torus"))
     assert r["complete"] is True and r["boundary_ok"] is True

@@ -1,20 +1,27 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 import time
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discmorse import cli, complexes, corpus
 from discmorse.chains import chain_complex
 from discmorse.cli import main
-from discmorse.complexes import barycentric_subdivision
+from discmorse.complexes import SimplicialComplex, barycentric_subdivision
 from discmorse.elimination import all_orders_agree
+from discmorse.errors import EliminationError
+from discmorse.euler import complete_matching, euler_chain_from_matching
 from discmorse.homology import homology
-from discmorse.io import format_complex, format_matching
-from discmorse.matchings import random_morse_matching
-from oracles import random_matching
+from discmorse.io import format_chain, format_complex, format_matching
+from discmorse.matchings import Matching, hasse, random_morse_matching
+from oracles import copying_eliminate, random_matching
+from strategies import small_complexes
 
 CIRCLE = "0 1\n1 2\n0 2\n"
 TRIANGLE = "0 1 2\n"
@@ -494,3 +501,128 @@ def test_non_morse_matchings_keep_their_verdict_and_witness(tmp_path, capsys):
         code, out, _ = run(capsys, ["reduce", cx, "--matching", mt, *extra])
         assert code == 0
         assert "morse: False\n" in out and "matches_thom_smale" not in out
+
+
+def copying_reduce_report(X, order) -> dict:
+    """The reduce report's step keys, from copying_eliminate over order with
+    each pivot read off the current complex before its step."""
+    current, steps = chain_complex(X), []
+    for i, (sigma, tau) in enumerate(order):
+        name = f"{' '.join(map(str, sigma))} ; {' '.join(map(str, tau))}"
+        pivot = current.column(len(tau) - 1, tau).get(sigma, 0)
+        try:
+            current = copying_eliminate(current, (sigma, tau))
+        except EliminationError as exc:
+            assert exc.pivot == pivot
+            return {"steps": steps, "failed_step": i, "failed_pair": name, "failed_pivot": pivot}
+        steps.append(f"{name} ; pivot {pivot}")
+    return {"steps": steps, "reduced_sizes": [current.size(k) for k in range(current.top_dim + 1)]}
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_complexes, st.integers(0, 2**32 - 1))
+def test_reduce_steps_equal_the_copying_reference(tmp_path_factory, X, seed):
+    # dense random matchings are often not Morse, so some orders fail
+    rng = random.Random(seed)
+    pairs = random_matching(X, rng, density=1.0).pairs()
+    idx = list(range(len(pairs)))
+    rng.shuffle(idx)
+    work = tmp_path_factory.mktemp("reduce")
+    cx = write(work, "x.facets", format_complex(X))
+    argv = ["reduce", "--json", cx, "--matching", write(work, "m.matching", format_matching(pairs))]
+    if pairs:
+        argv += ["--order", ",".join(map(str, idx))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    res = json.loads(out.getvalue())["results"]
+    expected = copying_reduce_report(X, [pairs[i] for i in idx])
+    keys = ("steps", "failed_step", "failed_pair", "failed_pivot", "reduced_sizes")
+    assert {key: res[key] for key in keys if key in res} == expected
+
+# --- every subcommand's answers, pinned by one digest ---
+
+
+def second_complete_matching(X):
+    """A complete matching of X found on the vertex-reversed complex and
+    mapped back: usually not the one ``complete_matching(hasse(X))`` finds."""
+    top = max(X.vertices())
+
+    def flip(cell):
+        return tuple(sorted(top - v for v in cell))
+
+    M = complete_matching(hasse(SimplicialComplex.from_facets(map(flip, X.facets()))))
+    return None if M is None else Matching((flip(lo), flip(hi)) for lo, hi in M.pairs())
+
+
+def cli_calls(tmp_path):
+    """argv lists over the bundled files and their first subdivisions under
+    400 cells, with each complex's seed-0 collapse, its first 4 pairs, a
+    dense random matching and, at Euler characteristic 0, a second Euler
+    chain; then products, a failing reduction and inputs that exit 2."""
+    spaces = [(name, corpus.load(name)) for name in corpus.names()]
+    for name, X in list(spaces):
+        Y = barycentric_subdivision(X).complex
+        if sum(len(Y.cells(k)) for k in range(Y.dim + 1)) < 400:
+            spaces.append((f"sd-{name}", Y))
+    calls = []
+    for name, X in spaces:
+        cx = write(tmp_path, f"{name}.facets", format_complex(X))
+        pairs = random_morse_matching(X, random.Random(0)).pairs()
+        collapse = write(tmp_path, f"{name}.matching", format_matching(pairs))
+        first4 = write(tmp_path, f"{name}-4.matching", format_matching(pairs[:4]))
+        dense = random_matching(X, random.Random(0), density=1.0)
+        other = write(tmp_path, f"{name}-dense.matching", format_matching(dense))
+        calls += [
+            ["homology", cx],
+            ["morse", cx],
+            ["morse", cx, "--matching", collapse],
+            ["morse", cx, "--matching", other],
+            ["reduce", cx, "--matching", collapse],
+            ["reduce", cx, "--matching", other],
+            ["reduce", cx, "--matching", first4, "--all-orders"],
+            ["euler", cx],
+            ["subdivide", cx],
+        ]
+        if pairs:
+            order = ",".join(map(str, reversed(range(len(pairs)))))
+            calls.append(["reduce", cx, "--matching", collapse, "--order", order])
+        M = second_complete_matching(X)
+        if M is not None:
+            chain = write(tmp_path, f"{name}.chain", format_chain(euler_chain_from_matching(X, M)))
+            calls.append(["euler", cx, "--compare", chain])
+    calls += [["product", str(m), str(n)] for m in range(3) for n in range(3)]
+    circle = write(tmp_path, "circle.facets", CIRCLE)
+    cycle = write(tmp_path, "cycle.matching", "0 ; 0 1\n1 ; 1 2\n2 ; 0 2\n")
+    bad_bytes = tmp_path / "bad.facets"
+    bad_bytes.write_bytes(b"0 1\n\xff\n")
+    calls += [
+        ["reduce", circle, "--matching", cycle],  # fails at step 2, exit 0
+        ["reduce", circle, "--matching", cycle, "--all-orders"],
+        ["homology", write(tmp_path, "empty.facets", "")],
+        ["homology", str(tmp_path / "missing.facets")],
+        ["homology", write(tmp_path, "repeated.facets", "0 0 1\n")],
+        ["homology", str(bad_bytes)],
+        ["morse", circle, "--matching", write(tmp_path, "twice.matching", "0 ; 0 1\n1 ; 0 1\n")],
+        ["reduce", circle, "--matching", cycle, "--order", "0,0"],
+        ["reduce", circle, "--matching", cycle, "--order", "0,x"],
+        ["reduce", circle, "--matching", cycle, "--all-orders", "--max-orders", "0"],
+        ["euler", circle, "--compare", write(tmp_path, "outside.chain", "7 ; 7 8\n")],
+        ["product", "-1", "2"],
+        ["product", "10", "10"],
+    ]
+    return calls
+
+
+def test_every_report_matches_its_pinned_digest(tmp_path, capsys):
+    # argv, exit status, stdout and stderr of each call in text and JSON,
+    # with tmp_path replaced; a change that alters any report on purpose
+    # re-pins this digest
+    root = str(tmp_path)
+    digest = hashlib.sha256()
+    for argv in cli_calls(tmp_path):
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, argv + extra)
+            record = json.dumps([argv + extra, code, out, err]).replace(root, "TMP")
+            digest.update(record.encode() + b"\n")
+    assert digest.hexdigest() == "34a696fce8f210dacc67a88c417f13cb7e7236c3d9dcaf4f1bb776acd1ab14be"

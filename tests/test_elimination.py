@@ -119,6 +119,18 @@ def test_all_orders_agree_samples_large_matchings():
     assert res.reduced == thom_smale_complex(X, M)
 
 
+def test_all_orders_agree_refuses_fewer_than_one_order():
+    X = corpus.torus()
+    M = random_morse_matching(X, random.Random(0))
+    small = Matching([((0,), (0, 1))])
+    assert len(M) == 19
+    for N in (M, small):  # sampled and exhaustive alike
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=f"max_orders must be at least 1, got {bad}"):
+                all_orders_agree(chain_complex(X), N, max_orders=bad)
+    assert all_orders_agree(chain_complex(X), M, max_orders=1).orders_tested == 1
+
+
 def test_morse_iff_all_orders_on_random_matchings():
     X = circle()
     rng = random.Random(17)
@@ -228,20 +240,14 @@ def test_a_step_rewrites_only_the_columns_holding_its_generators(monkeypatch):
     nnz = sum(len(c) for cols in C._columns.values() for c in cols.values())
     assert (len(M), nnz) == (754, 3024)
     handled = 0
-    rewrite, drop = elimination._rewrite, elimination._drop
+    add_scaled = elimination._add_scaled
 
-    def counted_rewrite(col, gamma, f):
+    def counted_add_scaled(target, source, c):
         nonlocal handled
-        handled += len(col) + len(gamma)
-        return rewrite(col, gamma, f)
+        handled += len(target) + len(source)
+        add_scaled(target, source, c)
 
-    def counted_drop(col, label):
-        nonlocal handled
-        handled += len(col)
-        return drop(col, label)
-
-    monkeypatch.setattr(elimination, "_rewrite", counted_rewrite)
-    monkeypatch.setattr(elimination, "_drop", counted_drop)
+    monkeypatch.setattr(elimination, "_add_scaled", counted_add_scaled)
     R = eliminate_sequence(C, M)
     assert [R.size(k) for k in range(3)] == [1, 2, 1]
     assert 0 < handled <= 8 * nnz
