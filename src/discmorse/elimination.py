@@ -8,9 +8,11 @@ generator and the degree below only loses the column of the lower one.
 The result is again a chain complex with the same homology.
 
 Eliminating the pairs of a Morse matching runs to completion in every
-order, and every order yields the same reduced complex because surviving
-labels keep their identity and order; ``all_orders_agree`` tries orders
-and compares their outcomes.
+order. With unit pivots, the complex after a set S of pairs is the Schur
+complement on S whatever order S went in (the quotient property), so
+every order that succeeds yields the same reduced complex, and the pivot
+the next pair meets depends on S alone; ``all_orders_agree`` looks only
+for an order that fails.
 
 Cost model: one reduction copies the complex's outer dicts once and keeps
 a row index (label -> the columns holding it). A step runs one column
@@ -19,11 +21,16 @@ rewrites only the columns holding its label, each into a new dict. One
 step loop serves every caller. Basis positions are renumbered once per
 reduction, at the end, so a sequence of pairs costs about the entries it
 rewrites rather than the size of the complex at every step.
+``all_orders_agree`` reduces the complex once; its other orders run on
+the pairs' own submatrix, 2|M| generators read from the |M| matched
+columns, and up to 8 pairs take one reduction of it per set of pairs
+reached, at most 2**|M|, rather than one of the complex per order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import defaultdict
 from typing import Iterable, NamedTuple, Sequence
@@ -186,29 +193,100 @@ def _iter_orders(
     return False, sample()
 
 
+def _pair_submatrix(C: ChainComplex, pairs: Sequence[Pair]) -> ChainComplex:
+    """The matched generators of C alone, each upper one's column cut down
+    to the rows of the lower ones; read from the pairs' own columns. Every
+    pivot an order of the pairs meets is an entry of this matrix's Schur
+    complements, and no step on it touches the degree above or below."""
+    lowers = {sigma for sigma, _ in pairs}
+    bases: dict[int, dict[Label, int]] = {k: {} for k in C._bases}
+    columns: dict[int, dict[Label, Column]] = {k: {} for k in C._columns}
+    for sigma, tau in pairs:
+        i = next(k for k in columns if tau in C._bases[k])
+        bases[i - 1][sigma], bases[i][tau] = len(bases[i - 1]), len(bases[i])
+        col = {s: v for s, v in C._columns[i].get(tau, {}).items() if s in lowers}
+        if col:
+            columns[i][tau] = col
+    return ChainComplex._trusted(bases, columns)
+
+
+def _first_failing_order(
+    sub: ChainComplex, pairs: tuple[Pair, ...]
+) -> tuple[int, tuple[Pair, ...] | None]:
+    """Walk the orders of pairs in itertools.permutations order, one
+    reduction of sub per set of pairs done: the orders tested up to and
+    including the first that fails, and that order; or |pairs|! and None.
+
+    After a set S, the Schur complement on S is the same whatever order S
+    went in, so a set that some order reaches has one state, and the pivot
+    it offers pair j is a unit exactly when S + j is reached too (their
+    determinants differ by that pivot). A set after which no order fails
+    is walked once; its later visits add (|pairs| - |S|)! unwalked.
+    """
+    n = len(pairs)
+    states: dict[int, _Reduction | None] = {0: _Reduction(sub)}  # None: unreachable
+    clean = {(1 << n) - 1}  # sets after which every order succeeds
+
+    def walk(S: int, done: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
+        if S in clean:
+            return math.factorial(n - len(done)), None
+        tested = 0
+        for j in range(n):
+            if S >> j & 1:
+                continue
+            T = S | 1 << j
+            if T not in states:
+                parent = states[S]
+                R = states[T] = _Reduction(ChainComplex._trusted(parent.bases, parent.columns))
+                try:
+                    R.eliminate(*pairs[j])
+                except EliminationError:
+                    states[T] = None
+            if states[T] is None:  # every order from done + (j,) fails at j
+                return tested + 1, done + (j,) + tuple(k for k in range(n) if not T >> k & 1)
+            more, failing = walk(T, done + (j,))
+            tested += more
+            if failing is not None:
+                return tested, failing
+        clean.add(S)
+        return tested, None
+
+    tested, failing = walk(0, ())
+    return tested, failing and tuple(pairs[j] for j in failing)
+
+
 def all_orders_agree(
     C: ChainComplex, M: Matching, max_orders: int = 100, seed: int = 0
 ) -> OrdersResult:
-    """Try elimination orders and compare outcomes.
+    """Eliminate the pairs of M in many orders; agree when none fails.
 
-    Exhaustive over all |M|! permutations for |M| <= 8, otherwise the
-    sorted order plus seeded random shuffles, max_orders in total; raises
-    ValueError when max_orders < 1.
+    The sorted order runs on C and gives the reduced complex, or a
+    ValueError for a pair that is not one. Every other order runs on the
+    pairs' own submatrix, whose Schur complements hold every pivot an
+    order meets: exhaustively over all |M|! permutations for |M| <= 8, as
+    a walk over the sets of pairs done that stops at the first failing
+    order in permutation order; otherwise over seeded random shuffles,
+    max_orders orders in all. Orders that succeed give the same complex
+    (the quotient property of Schur complements), so only failures are
+    looked for. Raises ValueError when max_orders < 1.
     """
     if max_orders < 1:
         raise ValueError(f"max_orders must be at least 1, got {max_orders}")
     pairs = M.pairs()
     exhaustive, orders = _iter_orders(pairs, max_orders, seed)
-    reference: ChainComplex | None = None
-    tested = 0
-    for order in orders:
-        tested += 1
-        R = _Reduction(C)
-        if (failure := R.run(order)[1]) is not None:
-            return OrdersResult(False, tested, exhaustive, None, failure, tuple(order))
-        reduced = R.complex()
-        if reference is None:
-            reference = reduced
-        elif reduced != reference:
-            return OrdersResult(False, tested, exhaustive, None, None, tuple(order))
-    return OrdersResult(True, tested, exhaustive, reference, None, None)
+    R = _Reduction(C)
+    if (failure := R.run(pairs)[1]) is not None:
+        return OrdersResult(False, 1, exhaustive, None, failure, pairs)
+    sub = _pair_submatrix(C, pairs)
+    if exhaustive:
+        tested, order = _first_failing_order(sub, pairs)
+    else:
+        tested, order = max_orders, None
+        for t, shuffled in enumerate(itertools.islice(orders, 1, None), 2):
+            if _Reduction(sub).run(shuffled)[1] is not None:
+                tested, order = t, shuffled
+                break
+    if order is None:
+        return OrdersResult(True, tested, exhaustive, R.complex(), None, None)
+    failure = _Reduction(sub).run(order)[1]
+    return OrdersResult(False, tested, exhaustive, None, failure, order)

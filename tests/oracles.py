@@ -315,8 +315,9 @@ def morse_iff_all_orders(X: SimplicialComplex, M: Matching) -> MorseOrdersVerdic
     """Check the equivalence 'Morse matching == every order eliminates'.
 
     Runs both sides independently: acyclicity of the matched Hasse diagram
-    on one side, elimination over orders of the simplicial chain complex on
-    the other.
+    on one side, on the other ``all_orders_agree`` on the simplicial chain
+    complex, which eliminates the sorted order there and every other
+    order (all of them up to 8 pairs) on the pairs' own submatrix.
     """
     morse = is_morse(hasse(X), M)
     orders = all_orders_agree(chain_complex(X), M)

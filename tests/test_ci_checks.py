@@ -14,6 +14,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import discmorse
@@ -134,3 +135,17 @@ def test_reduce_of_sd2_torus_lands_on_its_thom_smale_complex(tmp_path, capsys):
     r = results(capsys, "reduce", str(facets), "--matching", str(matching))
     assert r["morse"] is True and r["matches_thom_smale"] is True
     assert r["reduced_sizes"] == [1, 2, 1]
+
+
+def test_all_orders_of_eight_sd2_torus_pairs_agree_within_5_s(tmp_path, capsys):
+    X = sd2(corpus.torus())
+    facets, matching = tmp_path / "sd2_torus.facets", tmp_path / "sd2_torus_8.matching"
+    facets.write_text(format_complex(X))
+    M = random_morse_matching(X, random.Random(0))
+    matching.write_text(format_matching(M.pairs()[:8]))
+    start = time.perf_counter()
+    r = results(capsys, "reduce", str(facets), "--matching", str(matching), "--all-orders")
+    elapsed = time.perf_counter() - start
+    assert r["orders_tested"] == 40320 and r["exhaustive"] is True
+    assert r["all_orders_agree"] is True and r["matches_thom_smale"] is True
+    assert elapsed < 5, f"{elapsed:.1f} s"

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from discmorse import corpus, elimination
@@ -17,7 +17,7 @@ from discmorse.elimination import (
     gaussian_eliminate,
 )
 from discmorse.errors import EliminationError
-from discmorse.matchings import Matching, random_morse_matching
+from discmorse.matchings import Matching, closed_vpath, random_morse_matching
 from discmorse.morse import thom_smale_complex
 from oracles import (
     copying_eliminate, copying_sequence, dense_boundary, morse_iff_all_orders, random_matching
@@ -191,6 +191,13 @@ def copying_all_orders(C: ChainComplex, M: Matching, max_orders: int, seed: int)
     return (True, tested, exhaustive, storage(reference), None, None)
 
 
+def orders_fields(res):
+    """Every field of an OrdersResult, as copying_all_orders gives them."""
+    return (res.agree, res.orders_tested, res.exhaustive,
+            res.reduced and storage(res.reduced),
+            res.failure and error_fields(res.failure), res.failing_order)
+
+
 seeded_matchings = st.builds(
     lambda X, seed, morse: (
         X,
@@ -224,10 +231,7 @@ def test_elimination_equals_the_copying_reference(X_and_M, seed):
     runs = [(sub, 100)] + ([(M, 4)] if len(M) > 8 else [])
     for N, max_orders in runs:
         res = all_orders_agree(C, N, max_orders=max_orders, seed=seed)
-        got = (res.agree, res.orders_tested, res.exhaustive,
-               res.reduced and storage(res.reduced),
-               res.failure and error_fields(res.failure), res.failing_order)
-        assert got == copying_all_orders(C, N, max_orders, seed)
+        assert orders_fields(res) == copying_all_orders(C, N, max_orders, seed)
     assert storage(C) == storage(before)
 
 
@@ -251,3 +255,75 @@ def test_a_step_rewrites_only_the_columns_holding_its_generators(monkeypatch):
     R = eliminate_sequence(C, M)
     assert [R.size(k) for k in range(3)] == [1, 2, 1]
     assert 0 < handled <= 8 * nnz
+
+
+@st.composite
+def closed_vpath_submatchings(draw):
+    """The chain complex of a small complex, and up to 6 pairs of a matching
+    on it: the pairs of a closed V-path that closed_vpath finds, plus
+    others at random."""
+    X, M = draw(st.one_of(seeded_matchings, tetrahedra_rings()))
+    witness = closed_vpath(X.index(), M)
+    assume(witness is not None and len(witness) <= 7)
+    up = dict(M.pairs())
+    cycle = [(sigma, up[sigma]) for sigma in witness[:-1]]
+    others = [pair for pair in M.pairs() if pair not in cycle]
+    extra = draw(st.lists(st.sampled_from(others), unique=True, max_size=6 - len(cycle))
+                 if others else st.just([]))
+    return chain_complex(X), Matching(cycle + extra)
+
+
+@st.composite
+def unit_lu_matchings(draw):
+    """A chain complex in degrees 0 and 1 whose k matched pairs
+    ((v,), (v, k + 1 + v)) meet the matrix L * U, with L lower and U upper
+    triangular, pivots +-1 and +-1 entries elsewhere at random, beside an
+    unmatched vertex and edge. Every leading minor is +-1, so the sorted
+    order succeeds, while other orders often meet a pivot 0 or +-2: this
+    is where a failure comes after orders that succeed. Past 8 pairs the
+    orders are sampled, so 7 and 8 pairs are left out: the reference would
+    copy the complex for each of 40,320 orders."""
+    k = draw(st.one_of(st.integers(1, 6), st.integers(9, 11)))
+    unit, entry = st.sampled_from((-1, 1)), st.sampled_from((-1, 0, 1))
+    L = [[draw(unit) if i == j else draw(entry) if i > j else 0 for j in range(k)] for i in range(k)]
+    U = [[draw(unit) if i == j else draw(entry) if i < j else 0 for j in range(k)] for i in range(k)]
+    A = [[sum(L[i][m] * U[m][j] for m in range(k)) for j in range(k)] for i in range(k)]
+    lowers = [(v,) for v in range(k + 1)]  # (k,) is unmatched
+    uppers = [(v, k + 1 + v) for v in range(k + 1)]  # so is (k, 2k + 1)
+    columns = {uppers[j]: {lowers[i]: A[i][j] for i in range(k)} for j in range(k)}
+    for col in columns.values():
+        col[lowers[k]] = draw(entry)
+    columns[uppers[k]] = {sigma: draw(entry) for sigma in lowers}
+    C = ChainComplex({0: lowers, 1: uppers}, {1: columns})
+    return C, Matching(zip(lowers[:k], uppers[:k]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(closed_vpath_submatchings(), unit_lu_matchings()), st.integers(1, 20),
+       st.integers(0, 2**32 - 1))
+def test_failing_orders_equal_the_copying_reference(C_and_M, max_orders, seed):
+    C, M = C_and_M
+    res = all_orders_agree(C, M, max_orders=max_orders, seed=seed)
+    assert orders_fields(res) == copying_all_orders(C, M, max_orders, seed)
+
+
+def test_all_orders_agree_reduces_the_complex_once(monkeypatch):
+    """One reduction runs on C; every other holds only matched generators."""
+    calls = []
+    init = elimination._Reduction.__init__
+
+    def spied_init(self, D):
+        calls.append(D)
+        init(self, D)
+
+    monkeypatch.setattr(elimination._Reduction, "__init__", spied_init)
+    sd2_torus = barycentric_subdivision(barycentric_subdivision(corpus.torus()).complex).complex
+    for X, n, max_orders, tested in ((sd2_torus, 4, 100, 24), (corpus.torus(), 19, 12, 12)):
+        C = chain_complex(X)
+        M = Matching(random_morse_matching(X, random.Random(0)).pairs()[:n])
+        calls.clear()
+        res = all_orders_agree(C, M, max_orders=max_orders)
+        assert len(M) == n and res.agree and res.orders_tested == tested
+        assert res.exhaustive == (n <= 8)
+        assert [D is C for D in calls].count(True) == 1 and len(calls) > 1
+        assert max(sum(map(len, D._bases.values())) for D in calls if D is not C) <= 2 * n
