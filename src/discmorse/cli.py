@@ -92,10 +92,7 @@ class Report:
         for path, digest in self.inputs.items():
             lines.append(f"input: {path} sha256 {digest}")
         for key, value in self.results.items():
-            if isinstance(value, str) and "\n" in value:
-                lines.append(f"{key}:")
-                lines.extend(f"  {ln}" for ln in value.splitlines())
-            elif isinstance(value, (list, tuple)):
+            if isinstance(value, (list, tuple)):
                 if not value:
                     lines.append(f"{key}: (none)")
                 elif isinstance(value[0], str) and any(
@@ -225,7 +222,7 @@ def cmd_reduce(args: argparse.Namespace) -> Report:
     report.put("morse", morse)
 
     if args.all_orders:
-        res = all_orders_agree(C, M, max_orders=args.max_orders, seed=args.seed)
+        res = all_orders_agree(C, M, max_orders=args.max_orders)
         report.put("orders_tested", res.orders_tested)
         report.put("exhaustive", res.exhaustive)
         report.put("all_orders_agree", res.agree)
@@ -362,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reduce", parents=[common], help="eliminate matched pairs in a given order"
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled orders")
     p.add_argument("--max-orders", type=int, default=100, help="order sample budget")
     p.add_argument("complex", help="facet file")
     p.add_argument("--matching", required=True, help="matching file")

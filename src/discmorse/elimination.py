@@ -24,7 +24,9 @@ rewrites rather than the size of the complex at every step.
 ``all_orders_agree`` reduces the complex once; its other orders run on
 the pairs' own submatrix, 2|M| generators read from the |M| matched
 columns, and up to 8 pairs take one reduction of it per set of pairs
-reached, at most 2**|M|, rather than one of the complex per order.
+reached, at most 2**|M|, rather than one of the complex per order. Past 8
+pairs the orders are sampled from one fixed sequence of shuffles, which a
+larger budget only extends.
 """
 
 from __future__ import annotations
@@ -177,11 +179,11 @@ class OrdersResult(NamedTuple):
 
 
 def _iter_orders(
-    pairs: tuple[Pair, ...], max_orders: int, seed: int
+    pairs: tuple[Pair, ...], max_orders: int
 ) -> tuple[bool, Iterable[tuple[Pair, ...]]]:
     if len(pairs) <= 8:
         return True, itertools.permutations(pairs)
-    rng = random.Random(seed)
+    rng = random.Random(0)
 
     def sample():
         yield pairs
@@ -255,9 +257,7 @@ def _first_failing_order(
     return tested, failing and tuple(pairs[j] for j in failing)
 
 
-def all_orders_agree(
-    C: ChainComplex, M: Matching, max_orders: int = 100, seed: int = 0
-) -> OrdersResult:
+def all_orders_agree(C: ChainComplex, M: Matching, max_orders: int = 100) -> OrdersResult:
     """Eliminate the pairs of M in many orders; agree when none fails.
 
     The sorted order runs on C and gives the reduced complex, or a
@@ -265,15 +265,17 @@ def all_orders_agree(
     pairs' own submatrix, whose Schur complements hold every pivot an
     order meets: exhaustively over all |M|! permutations for |M| <= 8, as
     a walk over the sets of pairs done that stops at the first failing
-    order in permutation order; otherwise over seeded random shuffles,
-    max_orders orders in all. Orders that succeed give the same complex
-    (the quotient property of Schur complements), so only failures are
-    looked for. Raises ValueError when max_orders < 1.
+    order in permutation order; otherwise over the sorted order and then
+    the shuffles of ``random.Random(0)``, max_orders orders in all, so a
+    larger max_orders tests every order a smaller one does. Orders that
+    succeed give the same complex (the quotient property of Schur
+    complements), so only failures are looked for. Raises ValueError when
+    max_orders < 1.
     """
     if max_orders < 1:
         raise ValueError(f"max_orders must be at least 1, got {max_orders}")
     pairs = M.pairs()
-    exhaustive, orders = _iter_orders(pairs, max_orders, seed)
+    exhaustive, orders = _iter_orders(pairs, max_orders)
     R = _Reduction(C)
     if (failure := R.run(pairs)[1]) is not None:
         return OrdersResult(False, 1, exhaustive, None, failure, pairs)

@@ -82,9 +82,8 @@ class _SmithWorker:
             _add_scaled(self.row_carry[dst], self.row_carry[src], c)
 
     def col_add(self, dst: int, src: int, c: int) -> None:
-        """Column dst += c * column src, which is nonzero in row src alone."""
-        if not c:
-            return
+        """Column dst += c * column src for c != 0; column src is nonzero in
+        row src alone."""
         kd, ks = self.col[dst], self.col[src]
         row = self.rows[src]
         w = row.get(kd, 0) + c * row[ks]

@@ -25,9 +25,10 @@ def _signed_counts(
     """For each start cell id, the map critical cell id -> signed number of
     V-paths from it, canonically oriented (flips multiply a count by the
     signs of its two ends only); v is M as ``matchings._field`` gives it.
-    Memoized over the acyclic V-digraph."""
+    Memoized over the acyclic V-digraph, so one call serves starts of
+    every dimension; each empty map is one shared dict, to be read only."""
     memo: dict[int, dict[int, int]] = {}
-    nothing: dict[int, int] = {}  # shared by the cells matched downward
+    nothing: dict[int, int] = {}
     work = [(s, False) for s in starts]
     while work:
         c, expanded = work.pop()
@@ -49,7 +50,7 @@ def _signed_counts(
             step = 1 if (i + j) % 2 else -1  # -<d tau, c> * <d tau, s>
             for crit, n in memo[s].items():
                 total[crit] = total.get(crit, 0) + step * n
-        memo[c] = {crit: n for crit, n in total.items() if n}
+        memo[c] = {crit: n for crit, n in total.items() if n} or nothing
     return memo
 
 
@@ -61,9 +62,10 @@ def thom_smale_complex(
     """The chain complex on critical cells of a Morse matching.
 
     Bases are the critical cells in lexicographic order per dimension,
-    differentials the signed V-path counts. Construction fails loudly if
-    the matching is not Morse, the orientation maps a cell outside X or
-    to a value other than +1 or -1, or the boundaries do not square to 0.
+    differentials the signed V-path counts, from one walk over the faces
+    of every critical cell. Construction fails loudly if the matching is
+    not Morse, the orientation maps a cell outside X or to a value other
+    than +1 or -1, or the boundaries do not square to 0.
     """
     _check_orientation(X, orientation)
     H = X.index()
@@ -72,26 +74,23 @@ def thom_smale_complex(
     if not morse:
         raise NotMorseError("matching has a closed V-path")
     # ids ascending, so each basis comes out in lexicographic order
-    critical: dict[int, list[int]] = {k: [] for k in range(X.dim + 1)}
-    for c, t in enumerate(v):
-        if t == -1:
-            critical[len(cells[c]) - 1].append(c)
+    critical = [c for c, t in enumerate(v) if t == -1]
+    counts = _signed_counts(faces, v, [s for t in critical for s in faces[t]])
     o = orientation or {}
-    boundaries: dict[int, dict[Cell, dict[Cell, int]]] = {}
-    for k in range(1, X.dim + 1):
-        taus = critical[k]
-        counts = _signed_counts(faces, v, sorted({s for t in taus for s in faces[t]}))
-        boundaries[k] = {}
-        for t in taus:
-            acc: dict[int, int] = {}
-            for j, s in enumerate(faces[t]):  # <d t, s> = (-1)**j
-                for crit, n in counts[s].items():
-                    acc[crit] = acc.get(crit, 0) + (-n if j % 2 else n)
-            sign = o.get(cells[t], 1)
-            boundaries[k][cells[t]] = {
+    bases: dict[int, list[Cell]] = {k: [] for k in range(X.dim + 1)}
+    boundaries: dict[int, dict[Cell, dict[Cell, int]]] = {k: {} for k in range(1, X.dim + 1)}
+    for t in critical:
+        tau = cells[t]
+        bases[len(tau) - 1].append(tau)
+        acc: dict[int, int] = {}
+        for j, s in enumerate(faces[t]):  # <d t, s> = (-1)**j
+            for crit, n in counts[s].items():
+                acc[crit] = acc.get(crit, 0) + (-n if j % 2 else n)
+        if acc:
+            sign = o.get(tau, 1)
+            boundaries[len(tau) - 1][tau] = {
                 cells[c]: sign * o.get(cells[c], 1) * n for c, n in acc.items()
             }
-    bases = {k: [cells[c] for c in ids] for k, ids in critical.items()}
     return ChainComplex(bases, boundaries)
 
 

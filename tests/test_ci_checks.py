@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import discmorse
 from discmorse import corpus
 from discmorse.cli import main
@@ -120,6 +122,18 @@ def test_reduce_stops_at_the_zero_pivot_of_a_torus_matching(tmp_path, capsys):
     r = results(capsys, "reduce", data("torus"), "--matching", str(path))
     assert r["morse"] is False and r["failed_step"] == 2 and r["failed_pivot"] == 0
     assert len(r["steps"]) == 2
+
+
+def test_reduce_takes_max_orders_and_refuses_seed(tmp_path, capsys):
+    path = tmp_path / "sphere1.matching"
+    path.write_text("0 ; 0 1\n")
+    argv = ["reduce", data("sphere1"), "--matching", str(path), "--all-orders"]
+    r = results(capsys, *argv, "--max-orders", "3")
+    assert r["orders_tested"] == 1 and r["all_orders_agree"] is True
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_euler_on_the_torus_has_a_complete_matching(capsys):

@@ -464,7 +464,7 @@ def test_only_reduce_takes_seed_and_max_orders(tmp_path, capsys, sub, flag):
     assert "--seed" not in out and "--max-orders" not in out
 
 
-def test_reduce_all_orders_samples_with_seed_and_max_orders(tmp_path, capsys, monkeypatch):
+def test_reduce_all_orders_samples_with_max_orders_alone(tmp_path, capsys, monkeypatch):
     X = corpus.torus()
     M = random_morse_matching(X, random.Random(0))
     assert len(M) > 8  # past the exhaustive bound, so orders are sampled
@@ -478,14 +478,19 @@ def test_reduce_all_orders_samples_with_seed_and_max_orders(tmp_path, capsys, mo
 
     monkeypatch.setattr(cli, "all_orders_agree", spy)
     argv = ["reduce", "--json", cx, "--matching", mt, "--all-orders"]
-    code, out, _ = run(capsys, argv + ["--seed", "3", "--max-orders", "2"])
-    assert code == 0 and seen == [{"max_orders": 2, "seed": 3}]
+    code, out, _ = run(capsys, argv + ["--max-orders", "2"])
+    assert code == 0 and seen == [{"max_orders": 2}]
     res = json.loads(out)["results"]
     assert (res["orders_tested"], res["exhaustive"], res["all_orders_agree"]) == (2, False, True)
     assert res["matches_thom_smale"] is True
     code, out, _ = run(capsys, argv)
-    assert code == 0 and seen[1] == {"max_orders": 100, "seed": 0}
+    assert code == 0 and seen[1] == {"max_orders": 100}
     assert json.loads(out)["results"]["orders_tested"] == 100
+    code, out, err = run(capsys, argv + ["--seed", "1"])
+    assert code == 2 and out == "" and len(seen) == 2
+    assert "error: unrecognized arguments: --seed" in err
+    code, out, _ = run(capsys, ["reduce", "--help"])
+    assert code == 0 and "--max-orders" in out and "--seed" not in out
 
 
 def test_non_morse_matchings_keep_their_verdict_and_witness(tmp_path, capsys):

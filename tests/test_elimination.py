@@ -114,9 +114,19 @@ def test_all_orders_agree_samples_large_matchings():
     X = product_triangulation(2, 2)
     M = random_morse_matching(X, random.Random(1))
     assert len(M) > 8
-    res = all_orders_agree(chain_complex(X), M, max_orders=12, seed=4)
+    res = all_orders_agree(chain_complex(X), M, max_orders=12)
     assert res.agree and not res.exhaustive and res.orders_tested == 12
     assert res.reduced == thom_smale_complex(X, M)
+
+
+def test_a_larger_budget_extends_the_sampled_orders():
+    M = random_morse_matching(corpus.torus(), random.Random(0))
+    assert len(M) == 19
+    sampled = [_iter_orders(M.pairs(), m) for m in (1, 7, 30)]
+    assert [exhaustive for exhaustive, _ in sampled] == [False] * 3
+    one, seven, thirty = (list(orders) for _, orders in sampled)
+    assert one == [M.pairs()] and seven[:1] == one and thirty[:7] == seven
+    assert len(set(thirty)) == 30
 
 
 def test_all_orders_agree_refuses_fewer_than_one_order():
@@ -174,9 +184,9 @@ def outcome(run):
         return error_fields(exc)
 
 
-def copying_all_orders(C: ChainComplex, M: Matching, max_orders: int, seed: int):
+def copying_all_orders(C: ChainComplex, M: Matching, max_orders: int):
     """all_orders_agree's outcome with every order run by copying_sequence."""
-    exhaustive, orders = _iter_orders(M.pairs(), max_orders, seed)
+    exhaustive, orders = _iter_orders(M.pairs(), max_orders)
     reference, tested = None, 0
     for order in orders:
         tested += 1
@@ -230,8 +240,8 @@ def test_elimination_equals_the_copying_reference(X_and_M, seed):
     sub = Matching(rng.sample(M.pairs(), min(len(M), 5)))  # exhaustive, 120 orders at most
     runs = [(sub, 100)] + ([(M, 4)] if len(M) > 8 else [])
     for N, max_orders in runs:
-        res = all_orders_agree(C, N, max_orders=max_orders, seed=seed)
-        assert orders_fields(res) == copying_all_orders(C, N, max_orders, seed)
+        res = all_orders_agree(C, N, max_orders=max_orders)
+        assert orders_fields(res) == copying_all_orders(C, N, max_orders)
     assert storage(C) == storage(before)
 
 
@@ -299,12 +309,11 @@ def unit_lu_matchings(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(closed_vpath_submatchings(), unit_lu_matchings()), st.integers(1, 20),
-       st.integers(0, 2**32 - 1))
-def test_failing_orders_equal_the_copying_reference(C_and_M, max_orders, seed):
+@given(st.one_of(closed_vpath_submatchings(), unit_lu_matchings()), st.integers(1, 20))
+def test_failing_orders_equal_the_copying_reference(C_and_M, max_orders):
     C, M = C_and_M
-    res = all_orders_agree(C, M, max_orders=max_orders, seed=seed)
-    assert orders_fields(res) == copying_all_orders(C, M, max_orders, seed)
+    res = all_orders_agree(C, M, max_orders=max_orders)
+    assert orders_fields(res) == copying_all_orders(C, M, max_orders)
 
 
 def test_all_orders_agree_reduces_the_complex_once(monkeypatch):

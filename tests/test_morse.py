@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from discmorse import corpus
+from discmorse import corpus, morse
 from discmorse.chains import ChainComplex, chain_complex
 from discmorse.complexes import (
     SimplicialComplex,
@@ -17,6 +19,7 @@ from discmorse.morse import reorient, simplicial_homology, thom_smale_complex
 from oracles import (
     dense_boundary, differential_entry, multiplicity, path_counts_signed, thin_matching, vpaths
 )
+from strategies import small_complexes
 
 
 def circle():
@@ -114,6 +117,21 @@ def test_path_counts_signed_agrees_with_enumeration():
                     assert counts == brute, (start, M.pairs())
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_complexes, st.integers(0, 2**32 - 1), st.sampled_from((0.4, 0.7, 1.0)))
+def test_thom_smale_columns_agree_with_enumeration(X, seed, keep):
+    rng = random.Random(seed)
+    M = thin_matching(random_morse_matching(X, rng), rng, keep)
+    ts = thom_smale_complex(X, M)
+    assert ts.top_dim == X.dim
+    for k in range(X.dim + 1):
+        assert ts.basis(k) == tuple(c for c in X.cells(k) if not M.covers(c))
+    for k in range(1, X.dim + 1):
+        for tau in ts.basis(k):
+            want = {s: differential_entry(X, M, tau, s) for s in ts.basis(k - 1)}
+            assert ts.column(k, tau) == {s: n for s, n in want.items() if n}, (tau, M.pairs())
+
+
 def test_differential_entry_frozen_on_the_circle():
     X = circle()
     M = Matching([((0,), (0, 1)), ((1,), (1, 2))])
@@ -151,6 +169,24 @@ def test_thom_smale_empty_matching_is_the_chain_complex():
         ts = thom_smale_complex(X, Matching(()))
         C = chain_complex(X)
         assert ts == C
+
+
+def test_one_walk_serves_every_degree(monkeypatch):
+    walks = []
+    walk = morse._signed_counts
+
+    def spy(faces, v, starts):
+        walks.append(starts)
+        return walk(faces, v, starts)
+
+    monkeypatch.setattr(morse, "_signed_counts", spy)
+    X = product_triangulation(2, 1)
+    rng = random.Random(1)
+    M = thin_matching(random_morse_matching(X, rng), rng, 0.5)
+    ts = thom_smale_complex(X, M)  # a nonzero differential in each degree
+    assert [ts.size(k) for k in range(4)] == [3, 6, 6, 2]
+    assert len(walks) == 1
+    assert homology(ts) == homology(chain_complex(X))
 
 
 def test_thom_smale_rejects_non_morse_matchings():

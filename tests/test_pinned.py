@@ -30,10 +30,18 @@ def digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
+def suspension(K: SimplicialComplex) -> SimplicialComplex:
+    """K joined with two new vertices, one dimension up."""
+    n = max(K.cells(0))[0] + 1
+    return SimplicialComplex.from_facets([f + (a,) for f in K.facets() for a in (n, n + 1)])
+
+
 COMPLEXES = {
     "torus": corpus.torus,
     "rp2": corpus.projective_plane,
     "sd_s2": lambda: barycentric_subdivision(corpus.sphere(2)).complex,
+    # H_2 = Z + Z/2: the greedy matching's degree-3 column has two entries
+    "susp_klein": lambda: suspension(corpus.klein_bottle()),
 }
 
 RANDOM_PAIRS = {
@@ -43,12 +51,15 @@ RANDOM_PAIRS = {
             "7aaf82063a00f872", "ed7e4d873fe8510c"],
     "sd_s2": ["0b32e8bc452d0661", "8a56ec7d94750337", "fc0fda80f32fa7ab",
               "aba8358fdde59bfb", "2bc53d95d35b643d"],
+    "susp_klein": ["62c2615d79626c32", "67c91b0c6dd66eaf", "eefe56a8685f54c9",
+                   "eeea6d374e3cfacd", "b5f9856eb9335e84"],
 }
 
 GREEDY_PAIRS = {
     "torus": "f7bf3b507468c0db",
     "rp2": "c25ee02ca25ceca3",
     "sd_s2": "46ceaeabeea02891",
+    "susp_klein": "4e6ed45a16eca1df",
 }
 
 # (random collapse seed 0, greedy), each as (dense bases and boundaries,
@@ -58,6 +69,8 @@ ORIENTED_THOM_SMALE = {
               ("e1190af7508cc5dd", "d5a1ac6207716cfe")],
     "sd_s2": [("593d0bb981cd91a4", "4b2c13f51abeb6c1"),
               ("db55102c1b0e5bc1", "f0ec947575979e2d")],
+    "susp_klein": [("e920859243854cf1", "33a41e0d8a78dfcc"),
+                   ("32b48b1a50e1b583", "b56b796169ad32ae")],
 }
 
 
