@@ -13,7 +13,9 @@ The algorithms work on cell ids. A matching keeps its id field on one
 cell index (see :func:`_field`) together with the verdict of that pass
 once it has run, so the collapses, the greedy and the complete matchings
 hand their fields on, and checking a matching and then building its
-Thom-Smale complex maps its pairs to ids once and runs the pass once.
+Thom-Smale complex maps its pairs to ids once and runs the pass once. A
+matching handed on as a field makes its dict of cell pairs only when
+something reads the pairs.
 """
 
 from __future__ import annotations
@@ -45,9 +47,15 @@ class Matching:
     ``thom_smale_complex`` has decided it, whether it is Morse. That verdict
     is never assumed from how the matching was built. Equality and hashing
     see the pairs only.
+
+    The constructor fills the dict of pairs, face -> coface. A matching the
+    library builds as a field (a collapse, the greedy or a complete
+    matching) makes that dict from the field when its pairs are first
+    read, so ``is_morse`` and ``thom_smale_complex`` on its own index
+    never make it.
     """
 
-    __slots__ = ("_up", "_on")
+    __slots__ = ("_pairs", "_on")
 
     def __init__(self, pairs: Iterable[Pair]):
         up: dict[Cell, Cell] = {}
@@ -65,18 +73,27 @@ class Matching:
                     )
             up[sigma] = tau
             down[tau] = sigma
-        self._up = up  # the pairs, face -> coface
+        self._pairs: dict[Cell, Cell] | None = up  # face -> coface; None until made from _on
         self._on: tuple[CellIndex, list[int], bool | None] | None = None  # (H, field, Morse)
 
     @classmethod
     def _trusted(cls, H: CellIndex, v: list[int]) -> "Matching":
         """The matching whose field on H is v (as :func:`_field` gives it),
         without checks: v must pair cells of H with cofaces, no cell twice."""
-        cells = H.cells
         M = cls.__new__(cls)
-        M._up = {cells[c]: cells[t] for c, t in enumerate(v) if t >= 0}
+        M._pairs = None
         M._on = (H, v, None)
         return M
+
+    @property
+    def _up(self) -> dict[Cell, Cell]:
+        """The pairs, face -> coface, made from the field on first use."""
+        up = self._pairs
+        if up is None:
+            H, v, _ = self._on
+            cells = H.cells
+            up = self._pairs = {cells[c]: cells[t] for c, t in enumerate(v) if t >= 0}
+        return up
 
     def v(self, sigma: Cell) -> Cell | None:
         """The discrete vector field: the matched coface, or None."""
@@ -158,7 +175,8 @@ def _field(H: CellIndex, M: Matching) -> list[int]:
     upper cell of a pair, -1 for a critical cell.
 
     The field M holds for this very index is returned as it is; otherwise
-    it is computed and M keeps it in place of any other. A pair with a
+    it is computed from M's pairs (made from the old field first, if they
+    were never read) and M keeps it in place of any other. A pair with a
     cell outside H raises MatchingError.
     """
     if M._on is not None and M._on[0] is H:

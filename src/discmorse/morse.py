@@ -63,9 +63,12 @@ def thom_smale_complex(
 
     Bases are the critical cells in lexicographic order per dimension,
     differentials the signed V-path counts, from one walk over the faces
-    of every critical cell. Construction fails loudly if the matching is
-    not Morse, the orientation maps a cell outside X or to a value other
-    than +1 or -1, or the boundaries do not square to 0.
+    of the critical k-cells for each k with a critical (k-1)-cell. Every
+    V-path count lands on a critical cell one dimension down, so in the
+    other degrees the differential is zero and nothing is walked (Forman,
+    *Morse theory for cell complexes*, 1998). Construction fails loudly
+    if the matching is not Morse, the orientation maps a cell outside X or
+    to a value other than +1 or -1, or the boundaries do not square to 0.
     """
     _check_orientation(X, orientation)
     H = X.index()
@@ -75,13 +78,18 @@ def thom_smale_complex(
         raise NotMorseError("matching has a closed V-path")
     # ids ascending, so each basis comes out in lexicographic order
     critical = [c for c, t in enumerate(v) if t == -1]
-    counts = _signed_counts(faces, v, [s for t in critical for s in faces[t]])
+    # every count lands on a critical cell one size down: without one there,
+    # a critical cell's column is empty and its faces are not walked from
+    sizes = {len(cells[c]) for c in critical}
+    walked = [t for t in critical if len(cells[t]) - 1 in sizes]
+    counts = _signed_counts(faces, v, [s for t in walked for s in faces[t]])
     o = orientation or {}
     bases: dict[int, list[Cell]] = {k: [] for k in range(X.dim + 1)}
     boundaries: dict[int, dict[Cell, dict[Cell, int]]] = {k: {} for k in range(1, X.dim + 1)}
     for t in critical:
+        bases[len(cells[t]) - 1].append(cells[t])
+    for t in walked:
         tau = cells[t]
-        bases[len(tau) - 1].append(tau)
         acc: dict[int, int] = {}
         for j, s in enumerate(faces[t]):  # <d t, s> = (-1)**j
             for crit, n in counts[s].items():

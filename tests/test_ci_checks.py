@@ -109,6 +109,13 @@ def test_morse_on_sd2_of_the_3_sphere_matches_dense_homology(tmp_path, capsys):
     assert r["morse"] is True and r["homology_match"] is True
 
 
+def test_homology_of_sd2_of_the_3_sphere(tmp_path, capsys):
+    path = tmp_path / "sd2_sphere3.facets"
+    path.write_text(format_complex(sd2(corpus.sphere(3))))
+    r = results(capsys, "homology", str(path))
+    assert r["betti"] == [1, 0, 0, 1]
+
+
 def test_morse_finds_the_closed_vpath_of_a_torus_matching(tmp_path, capsys):
     path = tmp_path / "torus_cycle.matching"
     path.write_text("0 ; 0 1\n1 ; 1 2\n2 ; 0 2\n")

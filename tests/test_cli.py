@@ -452,7 +452,7 @@ def test_repeated_calls_in_one_process_match_a_fresh_parser(tmp_path, capsys, mo
 
 @pytest.mark.parametrize("flag", [["--seed", "1"], ["--max-orders", "5"]])
 @pytest.mark.parametrize("sub", ["homology", "morse", "euler", "subdivide", "product"])
-def test_only_reduce_takes_seed_and_max_orders(tmp_path, capsys, sub, flag):
+def test_subcommands_besides_reduce_refuse_seed_and_max_orders(tmp_path, capsys, sub, flag):
     args = ["1", "1"] if sub == "product" else [write(tmp_path, "circle.facets", CIRCLE)]
     assert run(capsys, [sub, *args])[0] == 0
     code, out, err = run(capsys, [sub, *args, *flag])

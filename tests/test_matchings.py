@@ -433,26 +433,54 @@ def test_any_call_order_agrees_with_the_oracles_on_any_equal_complex(X_and_M, or
 
 
 def library_matchings():
-    """(complex, matching) for every way the library builds a matching."""
+    """(complex, build) for every way the library builds a matching, where
+    build() builds that matching afresh."""
     sd_s2 = barycentric_subdivision(corpus.sphere(2)).complex
     for X in (corpus.torus(), corpus.projective_plane(), sd_s2, product_triangulation(2, 1)):
         for s in range(6):
-            yield X, random_morse_matching(X, random.Random(s))
-        yield X, greedy_morse_matching(X)
-        yield X, find_collapse(X, SimplicialComplex([X.cells(0)[0]]))
+            yield X, lambda X=X, s=s: random_morse_matching(X, random.Random(s))
+        yield X, lambda X=X: greedy_morse_matching(X)
+        yield X, lambda X=X: find_collapse(X, SimplicialComplex([X.cells(0)[0]]))
     for X in (corpus.torus(), corpus.sphere(3), circle()):
-        yield X, complete_matching(hasse(X))
+        yield X, lambda X=X: complete_matching(hasse(X))
 
 
 def test_library_built_matchings_equal_their_checked_copies():
     built = 0
-    for X, M in library_matchings():
-        if M is None:  # find_collapse stuck, e.g. on the torus
+    for X, build in library_matchings():
+        if build() is None:  # find_collapse stuck, e.g. on the torus
             continue
         built += 1
-        N = Matching(M.pairs())
-        assert M == N and hash(M) == hash(N) and len(M) == len(N)
-        assert critical_cells(X, M) == critical_cells(X, N)
-        for c in X.all_cells():
-            assert (M.v(c), M.v_inverse(c), M.covers(c)) == (N.v(c), N.v_inverse(c), N.covers(c))
+        # the checked copy is made from the field, so no pair read goes into it
+        H = hasse(X)
+        v = matchings._field(H, build())
+        N = Matching((H.cells[c], H.cells[t]) for c, t in enumerate(v) if t >= 0)
+        Y = SimplicialComplex.from_facets(X.facets())
+        assert Y == X and hasse(Y) is not hasse(X)
+        cells, edges = list(X.all_cells()), hasse_edges(X)
+        checks = {
+            "==": lambda M: M == N and N == M,
+            "hash": lambda M: hash(M) == hash(N),
+            "len": lambda M: len(M) == len(N),
+            "v": lambda M: [M.v(c) for c in cells] == [N.v(c) for c in cells],
+            "v_inverse": lambda M: [M.v_inverse(c) for c in cells]
+            == [N.v_inverse(c) for c in cells],
+            "covers": lambda M: [M.covers(c) for c in cells] == [N.covers(c) for c in cells],
+            "in": lambda M: [e in M for e in edges] == [e in N for e in edges],
+            # re-keyed onto an equal complex's own index, then back
+            "is_morse": lambda M: is_morse(hasse(Y), M) == is_morse(hasse(X), N)
+            and M == N and critical_cells(X, M) == critical_cells(X, N),
+        }
+        for name, check in checks.items():
+            M = build()
+            assert M._pairs is None, name  # made from its field, no pair read yet
+            assert check(M), name
+        assert M.pairs() == N.pairs()
     assert built >= 25
+
+
+def test_a_collapse_and_its_thom_smale_complex_read_no_pair():
+    X = barycentric_subdivision(corpus.torus()).complex
+    M = random_morse_matching(X, random.Random(0))
+    thom_smale_complex(X, M)
+    assert M._pairs is None

@@ -10,6 +10,7 @@ from discmorse.chains import ChainComplex, chain_complex
 from discmorse.complexes import (
     SimplicialComplex,
     barycentric_subdivision,
+    hyperfaces,
     product_triangulation,
 )
 from discmorse.errors import NotMorseError
@@ -189,6 +190,34 @@ def test_one_walk_serves_every_degree(monkeypatch):
     assert homology(ts) == homology(chain_complex(X))
 
 
+@pytest.mark.parametrize(
+    "X, sizes",
+    [
+        (barycentric_subdivision(corpus.sphere(3)).complex, [1, 0, 0, 1]),
+        (corpus.torus(), [1, 2, 1]),
+    ],
+    ids=["sd_sphere3", "torus"],
+)
+def test_only_degrees_with_a_critical_cell_below_are_walked(monkeypatch, X, sizes):
+    walks = []
+    walk = morse._signed_counts
+
+    def spy(faces, v, starts):
+        walks.append(list(starts))
+        return walk(faces, v, walks[-1])
+
+    monkeypatch.setattr(morse, "_signed_counts", spy)
+    M = random_morse_matching(X, random.Random(0))
+    ts = thom_smale_complex(X, M)
+    assert [ts.size(k) for k in range(X.dim + 1)] == sizes
+    H = hasse(X)
+    critical = [c for c in X.all_cells() if not M.covers(c)]
+    dims = {len(c) - 1 for c in critical}
+    want = [H.id_of[s] for c in critical if len(c) - 2 in dims for s in hyperfaces(c)]
+    assert walks == [want]
+    assert homology(ts) == homology(chain_complex(X))
+
+
 def test_thom_smale_rejects_non_morse_matchings():
     cyc = Matching([((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))])
     with pytest.raises(NotMorseError):
@@ -233,6 +262,14 @@ def test_thom_smale_preserves_homology_on_random_matchings():
             keep = rng.choice((0.6, 1.0))
             M = thin_matching(random_morse_matching(X, rng), rng, keep)
             assert homology(thom_smale_complex(X, M)) == hX
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes, st.integers(0, 2**32 - 1), st.sampled_from((0.4, 0.7, 1.0)))
+def test_thom_smale_preserves_homology_on_drawn_matchings(X, seed, keep):
+    rng = random.Random(seed)
+    M = thin_matching(random_morse_matching(X, rng), rng, keep)
+    assert homology(thom_smale_complex(X, M)) == homology(chain_complex(X))
 
 
 def test_reorient_validates_and_flips():
