@@ -5,18 +5,21 @@ matched pair, oriented from the odd-dimensional cell to the even one,
 gives a 1-chain on the barycentric subdivision whose boundary is the
 alternating vertex chain sum((-1)^dim(sigma) * b_sigma). Such a chain
 exists only when the Euler characteristic is zero, since a complete
-matching forces equally many even and odd cells.
+matching forces equally many even and odd cells. Whether two such chains
+are homologous is decided on the Thom-Smale complex of a seeded collapse.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import Cell, CellIndex, SimplicialComplex
-from .errors import MatchingError
+from .errors import MatchingError, NotMorseError
 from .homology import in_column_span
-from .matchings import Matching, Pair, _field
+from .matchings import Matching, Pair, _field, _verdict, random_morse_matching
+from .morse import _morse_column, _signed_counts
 
 
 def complete_matching(H: CellIndex) -> Matching | None:
@@ -119,21 +122,22 @@ class EulerChain:
 
 def euler_chain_from_matching(X: SimplicialComplex, M: Matching) -> EulerChain:
     """The Euler chain of a complete matching: one segment per pair,
-    oriented odd-dimensional cell -> even-dimensional cell. MatchingError
-    names a pair with a cell outside X, or else the first cell M leaves
-    uncovered."""
+    oriented odd-dimensional cell -> even-dimensional cell. The segments
+    come canonical from M's field on X: (face, coface, +1) when the face
+    is odd-dimensional, (face, coface, -1) when it is even-dimensional.
+    MatchingError names a pair with a cell outside X, or else the first
+    cell M leaves uncovered."""
     H = X.index()
+    cells = H.cells
     v = _field(H, M)
-    uncovered = next((H.cells[c] for c, t in enumerate(v) if t == -1), None)
+    uncovered = next((cells[c] for c, t in enumerate(v) if t == -1), None)
     if uncovered is not None:
         raise MatchingError(f"matching is not complete: {uncovered} uncovered", cell=uncovered)
-    segments = []
-    for sigma, tau in M.pairs():
-        if len(sigma) % 2 == 1:  # sigma even-dimensional, tau odd
-            segments.append((tau, sigma, 1))
-        else:
-            segments.append((sigma, tau, 1))
-    chain = EulerChain.from_segments(segments)
+    # a field pairs each cell once, so no two segments share their cells
+    chain = EulerChain(tuple(sorted(
+        (cells[c], cells[t], 1 if len(cells[c]) % 2 == 0 else -1)
+        for c, t in enumerate(v) if t >= 0
+    )))
     want = {c: (1 if len(c) % 2 == 1 else -1) for c in X.all_cells()}
     if chain.boundary_on_cells() != want:
         raise AssertionError("Euler chain boundary identity failed")
@@ -148,9 +152,17 @@ def homologous(X: SimplicialComplex, xi: EulerChain, eta: EulerChain) -> bool:
     approximation of the identity sd(X) -> X, so it inverts the subdivision
     isomorphism on integral H_1, torsion included. A segment a -> b with
     multiplicity m maps to m times the edge [max a, max b] of X and
-    vanishes when the two maxima agree. The chains are homologous exactly
-    when the image is an integer boundary in X. Raises ValueError when a
-    segment's cell is not in X or xi - eta is not a cycle.
+    vanishes when the two maxima agree.
+
+    The image z is then decided on the Thom-Smale complex of the seeded
+    collapse that ``simplicial_homology`` uses. Forman's chain map psi
+    sends an edge to its signed V-path counts on the critical edges, and
+    is a chain equivalence (Forman, *Morse theory for cell complexes*,
+    1998), so z is a boundary in X exactly when psi(z) is an integer
+    combination of the Morse boundaries of the critical triangles. One
+    walk from the edges of z and the faces of those triangles gives both.
+    Raises ValueError when a segment's cell is not in X or xi - eta is
+    not a cycle.
     """
     diff = xi - eta
     image: dict[Cell, int] = {}
@@ -165,14 +177,29 @@ def homologous(X: SimplicialComplex, xi: EulerChain, eta: EulerChain) -> bool:
     image = {e: v for e, v in image.items() if v}
     if not image:
         return True
-    # d_2 of X from the cell index: a row per edge, a column per triangle
-    _, id_of, faces, _ = X.index()
-    n0, n1, n2 = (len(X.cells(k)) for k in range(3))
-    rows: list[dict[int, int]] = [{} for _ in range(n1)]
-    for j in range(n2):
-        for pos, e in enumerate(faces[n0 + n1 + j]):
-            rows[e - n0][j] = -1 if pos % 2 else 1
-    return in_column_span(rows, n2, {id_of[e] - n0: v for e, v in image.items()})
+    H = X.index()
+    cells, id_of, faces, _ = H
+    v, morse = _verdict(H, random_morse_matching(X, random.Random(0)))
+    if not morse:
+        raise NotMorseError("matching has a closed V-path")
+    critical = [c for c, t in enumerate(v) if t == -1]
+    row_of = {c: i for i, c in enumerate(c for c in critical if len(cells[c]) == 2)}
+    if not row_of:  # no critical edge: psi(z) = 0
+        return True
+    triangles = [t for t in critical if len(cells[t]) == 3]
+    counts = _signed_counts(
+        faces, v, [id_of[e] for e in image] + [s for t in triangles for s in faces[t]]
+    )
+    rows: list[dict[int, int]] = [{} for _ in row_of]
+    for j, t in enumerate(triangles):
+        for c, n in _morse_column(faces, counts, t).items():
+            rows[row_of[c]][j] = n
+    psi: dict[int, int] = {}
+    for e, m in image.items():
+        for c, n in counts[id_of[e]].items():
+            i = row_of[c]
+            psi[i] = psi.get(i, 0) + m * n
+    return in_column_span(rows, len(triangles), psi)
 
 
 def reroute_along_vpath(

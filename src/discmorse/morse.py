@@ -54,6 +54,19 @@ def _signed_counts(
     return memo
 
 
+def _morse_column(
+    faces: tuple[tuple[int, ...], ...], counts: dict[int, dict[int, int]], t: int
+) -> dict[int, int]:
+    """The Morse boundary of the critical cell t, critical cell id ->
+    coefficient without zeros: sum_j (-1)**j counts[faces[t][j]], with
+    counts from ``_signed_counts`` walked from every face of t."""
+    acc: dict[int, int] = {}
+    for j, s in enumerate(faces[t]):  # <d t, s> = (-1)**j
+        for crit, n in counts[s].items():
+            acc[crit] = acc.get(crit, 0) + (-n if j % 2 else n)
+    return {crit: n for crit, n in acc.items() if n}
+
+
 def thom_smale_complex(
     X: SimplicialComplex,
     M: Matching,
@@ -90,14 +103,11 @@ def thom_smale_complex(
         bases[len(cells[t]) - 1].append(cells[t])
     for t in walked:
         tau = cells[t]
-        acc: dict[int, int] = {}
-        for j, s in enumerate(faces[t]):  # <d t, s> = (-1)**j
-            for crit, n in counts[s].items():
-                acc[crit] = acc.get(crit, 0) + (-n if j % 2 else n)
-        if acc:
+        col = _morse_column(faces, counts, t)
+        if col:
             sign = o.get(tau, 1)
             boundaries[len(tau) - 1][tau] = {
-                cells[c]: sign * o.get(cells[c], 1) * n for c, n in acc.items()
+                cells[c]: sign * o.get(cells[c], 1) * n for c, n in col.items()
             }
     return ChainComplex(bases, boundaries)
 

@@ -3,10 +3,11 @@
 They follow the definitions literally: V-paths are enumerated one by one,
 Smith forms track all four transforms and are checked by matrix products,
 cycles are classified by those products, the Euler-chain boundary is
-read off the subdivision, Morse-ness is compared with elimination over
-many orders, elimination copies the complex for every pair, faces are
-cut out of cell tuples by slicing, and the collapse engine keeps the
-nested-function form it had before its one-loop rewrite. Several are exponential, cubic or
+read off the subdivision, Euler chains are compared on the whole d_2 of
+the complex, Morse-ness is compared with elimination over many orders,
+elimination copies the complex for every pair, faces are cut out of cell
+tuples by slicing, and the collapse engine keeps the nested-function form
+it had before its one-loop rewrite. Several are exponential, cubic or
 quadratic, so they are for small inputs, and no module of the package
 imports them.
 """
@@ -25,7 +26,7 @@ from discmorse.complexes import (
 from discmorse.elimination import EliminationStep, OrdersResult, all_orders_agree
 from discmorse.errors import EliminationError, NotMorseError
 from discmorse.euler import EulerChain
-from discmorse.homology import CycleClass, SmithNormalForm, _SmithWorker, _smith
+from discmorse.homology import CycleClass, SmithNormalForm, _SmithWorker, _smith, in_column_span
 from discmorse.matchings import Matching, Pair, _field, _steps, hasse, is_morse
 from discmorse.morse import _signed_counts
 
@@ -299,6 +300,33 @@ def boundary_zero_chain(sub: Subdivision, chain: EulerChain) -> dict[int, int]:
             raise ValueError(f"{cell} has no barycenter in this subdivision")
         out[vid] = out.get(vid, 0) + coeff
     return {v: c for v, c in out.items() if c}
+
+
+def homologous_on_complex(X: SimplicialComplex, xi: EulerChain, eta: EulerChain) -> bool:
+    """Whether xi - eta is a boundary, decided on the whole d_2 of X: the
+    image under b_sigma -> max(sigma) against one elimination over every
+    edge and triangle, with homologous's ValueErrors."""
+    diff = xi - eta
+    image: dict[Cell, int] = {}
+    for a, b, m in diff.segments:
+        if a not in X or b not in X:
+            raise ValueError(f"segment {a} -> {b} is not in the complex")
+        if a[-1] != b[-1]:  # a is a face of b, so max a < max b
+            edge = (a[-1], b[-1])
+            image[edge] = image.get(edge, 0) + m
+    if diff.boundary_on_cells():
+        raise ValueError("the chains have different boundaries")
+    image = {e: v for e, v in image.items() if v}
+    if not image:
+        return True
+    # d_2 of X from the cell index: a row per edge, a column per triangle
+    _, id_of, faces, _ = X.index()
+    n0, n1, n2 = (len(X.cells(k)) for k in range(3))
+    rows: list[dict[int, int]] = [{} for _ in range(n1)]
+    for j in range(n2):
+        for pos, e in enumerate(faces[n0 + n1 + j]):
+            rows[e - n0][j] = -1 if pos % 2 else 1
+    return in_column_span(rows, n2, {id_of[e] - n0: v for e, v in image.items()})
 
 
 # --- Morse-ness against elimination ---

@@ -16,6 +16,15 @@ small_complexes = st.lists(
 
 
 @st.composite
+def small_matrices(draw):
+    """An integer matrix with 1 to 5 rows and 0 to 4 columns, entries in
+    -4..4, as (rows, number of columns)."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m)), n
+
+
+@st.composite
 def tetrahedra_rings(draw):
     """A small complex with a ring of 3 to 5 tetrahedra (0, 1, r_i, r_i+1)
     glued on around the edge (0, 1), and a random matching that pairs each

@@ -23,7 +23,8 @@ import discmorse
 from discmorse import corpus
 from discmorse.cli import main
 from discmorse.complexes import barycentric_subdivision
-from discmorse.io import format_complex, format_matching
+from discmorse.euler import EulerChain, complete_matching, euler_chain_from_matching
+from discmorse.io import format_chain, format_complex, format_matching
 from discmorse.matchings import random_morse_matching
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,3 +171,29 @@ def test_all_orders_of_eight_sd2_torus_pairs_agree_within_5_s(tmp_path, capsys):
     assert r["orders_tested"] == 40320 and r["exhaustive"] is True
     assert r["all_orders_agree"] is True and r["matches_thom_smale"] is True
     assert elapsed < 5, f"{elapsed:.1f} s"
+
+
+def test_euler_compare_on_sd2_torus_sees_an_essential_loop(tmp_path, capsys):
+    T1 = barycentric_subdivision(corpus.torus())
+    T2 = barycentric_subdivision(T1.complex)
+    X = T2.complex
+
+    def up(S, w):  # the closed walk w on S.complex, each edge through its barycenter
+        b = S.barycenter_of
+        return [b[c] for p, q in zip(w, w[1:]) for c in ((p,), tuple(sorted((p, q))))] + [b[(w[-1],)]]
+
+    w = up(T2, up(T1, [0, 1, 2, 3, 4, 5, 6, 0]))
+    loop = [
+        s for p, q in zip(w, w[1:]) for e in [tuple(sorted((p, q)))]
+        for s in (((p,), e, 1), (e, (q,), 1))
+    ]
+    xi = euler_chain_from_matching(X, complete_matching(X.index()))
+    facets, chain = tmp_path / "sd2_torus.facets", tmp_path / "sd2_torus_loop.chain"
+    facets.write_text(format_complex(X))
+    chain.write_text(format_chain(EulerChain.from_segments(list(xi.segments) + loop)))
+    r = results(capsys, "euler", str(facets), "--compare", str(chain))
+    assert r["comparable"] is True and r["homologous"] is False
+    # the loop is what makes the difference: the chain alone is homologous
+    chain.write_text(format_chain(xi))
+    r = results(capsys, "euler", str(facets), "--compare", str(chain))
+    assert r["comparable"] is True and r["homologous"] is True

@@ -1,12 +1,13 @@
 import functools
 import itertools
+import random
 from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from discmorse import corpus
+from discmorse import corpus, euler
 from discmorse.chains import chain_complex
 from discmorse.complexes import Cell, SimplicialComplex, Subdivision, barycentric_subdivision
 from discmorse.errors import MatchingError
@@ -19,8 +20,8 @@ from discmorse.euler import (
     homologous,
     reroute_along_vpath,
 )
-from discmorse.matchings import Matching, hasse
-from oracles import boundary_zero_chain
+from discmorse.matchings import Matching, _field, hasse, random_morse_matching
+from oracles import boundary_zero_chain, homologous_on_complex
 from strategies import euler_zero_complexes
 
 
@@ -341,9 +342,9 @@ def closed_walks(draw, X):
 
 
 @st.composite
-def cycle_pairs(draw):
-    name = draw(st.sampled_from(sorted(ORACLE_COMPLEXES)))
-    X = ORACLE_COMPLEXES[name]
+def cycle_pairs(draw, complexes=ORACLE_COMPLEXES):
+    name = draw(st.sampled_from(sorted(complexes)))
+    X = complexes[name]
     xi = draw(st.lists(closed_walks(X), min_size=1, max_size=2))
     eta = draw(st.lists(closed_walks(X), max_size=2))
     return (
@@ -358,6 +359,88 @@ def cycle_pairs(draw):
 def test_homologous_agrees_with_the_subdivision_oracle(case):
     X, xi, eta = case
     assert homologous(X, xi, eta) == homologous_on_subdivision(X, xi, eta)
+
+
+# --- homologous on the Morse complex against the whole d_2 of X ---
+
+
+def loop_segments(walk):
+    """A closed vertex walk as unit segments through its edges' barycenters."""
+    segments = []
+    for p, q in zip(walk, walk[1:]):
+        e = tuple(sorted((p, q)))
+        segments += [((p,), e, 1), (e, (q,), 1)]
+    return segments
+
+
+def subdivided_walk(sub: Subdivision, walk):
+    """The same closed walk on sd: each edge p q runs through its barycenter."""
+    b = sub.barycenter_of
+    out = [b[(walk[0],)]]
+    for p, q in zip(walk, walk[1:]):
+        out += [b[tuple(sorted((p, q)))], b[(q,)]]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(cycle_pairs({
+    **ORACLE_COMPLEXES,
+    "sd_klein_bottle": barycentric_subdivision(corpus.klein_bottle()).complex,
+}))
+def test_homologous_agrees_with_the_whole_complex_oracle(case):
+    X, xi, eta = case
+    assert homologous(X, xi, eta) == homologous_on_complex(X, xi, eta)
+
+
+@pytest.mark.parametrize("name", ["projective_plane", "klein_bottle"])
+def test_triangle_loops_see_the_z2_torsion(name):
+    # every 3-cycle of the 1-skeleton, once and twice: some is essential
+    # while its double bounds, which only the Z/2 summand of H_1 allows
+    X = getattr(corpus, name)()
+    edges = set(X.cells(1))
+    verdicts = set()
+    for a, b, c in itertools.combinations(X.vertices(), 3):
+        if {(a, b), (a, c), (b, c)} <= edges:
+            once = EulerChain.from_segments(loop_segments((a, b, c, a)))
+            twice = EulerChain.from_segments(2 * loop_segments((a, b, c, a)))
+            nothing = EulerChain.from_segments([])
+            got = (homologous(X, once, nothing), homologous(X, twice, nothing))
+            assert got == (
+                homologous_on_complex(X, once, nothing),
+                homologous_on_complex(X, twice, nothing),
+            )
+            verdicts.add(got)
+    assert (False, True) in verdicts and (True, True) in verdicts
+
+
+def test_homologous_hands_one_column_per_critical_triangle(monkeypatch):
+    # the seed-0 collapse of sd^2 torus leaves one critical triangle of 504
+    torus1 = barycentric_subdivision(corpus.torus())
+    torus2 = barycentric_subdivision(torus1.complex)
+    X = torus2.complex
+    H = X.index()
+    v = _field(H, random_morse_matching(X, random.Random(0)))
+    triangles = [c for c, t in zip(H.cells, v) if t == -1 and len(c) == 3]
+    assert len(triangles) == 1 and len(X.cells(2)) == 504
+    columns = []
+    real = euler.in_column_span
+
+    def spy(rows, n_cols, z):
+        columns.append(n_cols)
+        return real(rows, n_cols, z)
+
+    monkeypatch.setattr(euler, "in_column_span", spy)
+    xi = euler_chain_from_matching(X, complete_matching(H))
+    # an empty image, from no difference or from a walk in one vertex star
+    p, q, r = X.cells(2)[0]
+    star = [((r,), (q, r), 1), ((q, r), (p, q, r), 1), ((p, q, r), (r,), 1)]
+    assert homologous(X, xi, xi)
+    assert homologous(X, xi, EulerChain.from_segments(list(xi.segments) + star))
+    assert columns == []
+    walk = subdivided_walk(torus2, subdivided_walk(torus1, [0, 1, 2, 3, 4, 5, 6, 0]))
+    eta = EulerChain.from_segments(list(xi.segments) + loop_segments(walk))
+    assert not homologous(X, xi, eta)
+    assert columns == [1]
 
 
 # --- the boundary identity on random complete matchings ---

@@ -23,7 +23,7 @@ from discmorse.homology import (
 from oracles import (
     TrackedSmith, cycle_class_by_transforms, dense_boundary, incidence, snf_is_valid, tracked_smith
 )
-from strategies import small_complexes
+from strategies import small_complexes, small_matrices
 
 
 def sphere(n):
@@ -298,6 +298,24 @@ def test_in_column_span_agrees_with_the_row_transform():
         got = in_column_span(_sparse_rows(A), n, dict(enumerate(z)))
         assert got == want, (A, z)
         assert got or trial % 2 == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices(), st.data())
+def test_in_column_span_agrees_with_the_row_transform_on_drawn_matrices(case, data):
+    A, n = case
+    inside = data.draw(st.booleans(), label="z = A x")
+    if inside:
+        x = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), label="x")
+        z = [sum(a * b for a, b in zip(row, x)) for row in A]
+    else:
+        z = data.draw(st.lists(st.integers(-6, 6), min_size=len(A), max_size=len(A)), label="z")
+    s = tracked_smith(A, n_cols=n)
+    w = [sum(u * v for u, v in zip(row, z)) for row in s.U]
+    want = all(w[i] % s.diagonal[i] == 0 for i in range(s.rank)) and not any(w[s.rank:])
+    got = in_column_span(_sparse_rows(A), n, dict(enumerate(z)))
+    assert got == want
+    assert got or not inside
 
 
 def test_in_column_span_runs_one_elimination(monkeypatch):
