@@ -2,64 +2,35 @@
 
 perfbench/ is not part of this suite, so a rename or a move that breaks a
 traced run would otherwise show only when the benchmark runs. Both lists
-are copied by hand; update them together with their source files.
+are read from the harness's source without importing it, so they follow it.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import discmorse
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 # perfbench/tracing.py, LAYER_FUNCTIONS: the tracer wraps each
 # discmorse.<module>.<function> by looking it up there
-TRACED = [
-    ("complexes", "barycentric_subdivision"),
-    ("io", "parse_complex"),
-    ("io", "parse_matching"),
-    ("io", "parse_chain"),
-    ("io", "format_complex"),
-    ("io", "format_matching"),
-    ("io", "format_chain"),
-    ("chains", "chain_complex"),
-    ("matchings", "hasse"),
-    ("matchings", "random_morse_matching"),
-    ("matchings", "greedy_morse_matching"),
-    ("matchings", "is_morse"),
-    ("matchings", "find_closed_vpath"),
-    ("morse", "thom_smale_complex"),
-    ("elimination", "gaussian_eliminate"),
-    ("elimination", "eliminate_sequence"),
-    ("elimination", "all_orders_agree"),
-    ("homology", "homology"),
-    ("homology", "cycle_class"),
-    ("euler", "complete_matching"),
-    ("euler", "euler_chain_from_matching"),
-    ("euler", "homologous"),
+(LAYERS,) = [
+    node.value for node in ast.parse((PERFBENCH / "tracing.py").read_text()).body
+    if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYER_FUNCTIONS"
 ]
+TRACED = [(module, name) for module, names in ast.literal_eval(LAYERS).values() for name in names]
 
 # perfbench/workloads.py: every dm.<name> the workloads call, dm being the
 # imported discmorse package
-PACKAGE_NAMES = [
-    "EulerChain",
-    "Matching",
-    "SimplicialComplex",
-    "barycentric_subdivision",
-    "chain_complex",
-    "cli",
-    "complete_matching",
-    "eliminate_sequence",
-    "euler_chain_from_matching",
-    "greedy_morse_matching",
-    "hasse",
-    "homologous",
-    "homology",
-    "is_morse",
-    "product_triangulation",
-    "random_morse_matching",
-    "thom_smale_complex",
-]
+PACKAGE_NAMES = sorted({
+    node.attr for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text()))
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "dm"
+})
 
 
 def test_the_names_the_benchmark_reads_exist():
+    assert TRACED and PACKAGE_NAMES
     importlib.import_module("discmorse.cli")  # perfbench/run.py imports it, so dm.cli exists
     missing = [
         f"discmorse.{module}.{name}"

@@ -143,7 +143,7 @@ def oriented_matchings(draw):
     return X, reorient(X, flips), M
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(oriented_matchings())
 def test_sparse_storage_agrees_with_the_incidence_oracle(case):
     X, orientation, M = case
@@ -164,7 +164,7 @@ def test_sparse_storage_agrees_with_the_incidence_oracle(case):
     assert homology(T) == homology(C)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes)
 def test_simplicial_homology_agrees_with_the_dense_route(X):
     assert simplicial_homology(X) == homology(chain_complex(X))

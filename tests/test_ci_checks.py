@@ -1,11 +1,13 @@
-"""Checks of the CI workflow that tier 1 can make itself.
+"""Checks of the CI workflow and of the installed command, made in tier 1.
 
-The pattern of the "No test oracles in the package" step is read from the
-workflow file, so the list of names has one source. The installed
-``discmorse`` command is checked through what it is built from: the
-``[project.scripts]`` entry of pyproject.toml, and ``discmorse.cli`` run
-as a program. The answers that step checks are checked again in process,
-through ``discmorse.cli.main``.
+Tier 1 is the one copy of every check of the package and its CLI. The
+workflow runs it, a short benchmark pass and two calls of the installed
+``discmorse`` command, and a test here reads the workflow to hold it to
+that. The installed command is checked through what it is built from: the
+``[project.scripts]`` entry of pyproject.toml, and ``discmorse.cli`` run as
+a program. The CLI answers below are checked in process, through
+``discmorse.cli.main``; a new CLI check is one more such test, never a
+workflow line.
 """
 
 import json
@@ -31,23 +33,32 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(discmorse.__file__).resolve().parent
 
 
-def oracle_pattern() -> re.Pattern:
-    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    step = text.split("- name: No test oracles in the package\n", 1)[1].split("- name:", 1)[0]
-    (pattern,) = re.findall(r"grep -rnE --include='\*\.py' '([^']+)' src/discmorse", step)
-    return re.compile(pattern)
+# the brute-force references live in tests/oracles.py: no package module
+# may import them or define a moved or deleted name again
+ORACLE_NAMES = (
+    "vpaths", "multiplicity", "differential_entry", "path_counts_signed", "snf_is_valid",
+    "integer_determinant", "boundary_zero_chain", "random_matching", "morse_iff_all_orders",
+    "VPath", "HasseDiagram", "copying_eliminate", "copying_sequence", "hyperfaces_by_slices",
+    "index_by_slices", "facets_by_slices", "TrackedSmith", "TrackedSmithForm", "tracked_smith",
+    "cycle_class_by_transforms", "incidence", "dense_boundary", "thin_matching",
+    "reference_collapse", "homologous_on_complex",
+)
+ORACLE_PATTERN = re.compile(
+    r"^\s*(from|import)\s+\S*oracles|^\s*(def|class)\s+(" + "|".join(ORACLE_NAMES) + r")\b"
+)
 
 
 def test_no_package_module_imports_or_defines_a_test_oracle():
-    pattern = oracle_pattern()
-    # the pattern read is the one meant: it finds what it exists to find
-    assert pattern.search("def vpaths(H, M):") and pattern.search("from .oracles import x")
-    assert not pattern.search("def vpaths_count(H, M):")
+    # the pattern finds what it exists to find
+    assert ORACLE_PATTERN.search("def vpaths(H, M):")
+    assert ORACLE_PATTERN.search("from .oracles import x")
+    assert not ORACLE_PATTERN.search("def vpaths_count(H, M):")
+    source = ROOT / "src" / "discmorse"
     hits = [
-        f"{path.relative_to(PACKAGE)}:{n}: {line}"
-        for path in sorted(PACKAGE.rglob("*.py"))
+        f"{path.relative_to(source)}:{n}: {line}"
+        for path in sorted(source.rglob("*.py"))
         for n, line in enumerate(path.read_text().splitlines(), 1)
-        if pattern.search(line)
+        if ORACLE_PATTERN.search(line)
     ]
     assert hits == []
 
@@ -58,6 +69,37 @@ def test_the_console_script_is_cli_main():
     assert re.findall(r'^(\S+)\s*=\s*"([^"]*)"', scripts.group(1), re.M) == [
         ("discmorse", "discmorse.cli:main")
     ]
+
+
+# a step of the workflow's one job, and the run lines of a step: one inline
+# value, or a "run: |" block
+STEP = re.compile(r"^ {6}- (?:name: (.*)\n)?((?:(?! {6}- ).*\n)*)", re.M)
+RUN = re.compile(r"^ {8}run: (.*)\n((?: {10}.*\n)*)", re.M)
+
+
+def workflow_steps() -> list[tuple[str, list[str]]]:
+    """(name, run lines) of each step of the workflow, in order; an unnamed
+    step has the name "" and a step without ``run`` no lines."""
+    steps = []
+    for name, body in STEP.findall((ROOT / ".github" / "workflows" / "tests.yml").read_text()):
+        inline, block = run.groups() if (run := RUN.search(body)) else ("", "")
+        lines = [line.strip() for line in block.splitlines()] if inline == "|" else [inline]
+        steps.append((name, [line for line in lines if line]))
+    return steps
+
+
+def test_the_workflow_installs_then_runs_tier_1_the_smoke_and_the_command():
+    steps = workflow_steps()
+    names = [name for name, _ in steps]
+    run = dict(steps)
+    assert "pip install -e '.[test]'" in run["Install"]
+    after = names[names.index("Install") + 1:]
+    assert after == ["Tier-1 tests", "Benchmark correctness smoke", "Installed discmorse command"]
+    assert all(run[name] for name in after)
+    assert run["Tier-1 tests"] == [
+        "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
+    ]
+    assert any(line.split()[0] == "discmorse" for line in run["Installed discmorse command"])
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -79,7 +121,7 @@ def test_the_cli_module_runs_as_a_program(tmp_path):
     assert refused.stderr.startswith("error: ") and "more than" in refused.stderr
 
 
-# --- the "Installed discmorse command" checks, in process through cli.main ---
+# --- CLI answers, in process through cli.main ---
 
 
 def results(capsys, *argv: str) -> dict:

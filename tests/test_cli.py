@@ -524,7 +524,7 @@ def copying_reduce_report(X, order) -> dict:
     return {"steps": steps, "reduced_sizes": [current.size(k) for k in range(current.top_dim + 1)]}
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(small_complexes, st.integers(0, 2**32 - 1))
 def test_reduce_steps_equal_the_copying_reference(tmp_path_factory, X, seed):
     # dense random matchings are often not Morse, so some orders fail

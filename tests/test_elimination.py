@@ -220,7 +220,7 @@ seeded_matchings = st.builds(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.one_of(seeded_matchings, tetrahedra_rings()), st.integers(0, 2**32 - 1))
 def test_elimination_equals_the_copying_reference(X_and_M, seed):
     X, M = X_and_M
@@ -308,7 +308,7 @@ def unit_lu_matchings(draw):
     return C, Matching(zip(lowers[:k], uppers[:k]))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.one_of(closed_vpath_submatchings(), unit_lu_matchings()), st.integers(1, 20))
 def test_failing_orders_equal_the_copying_reference(C_and_M, max_orders):
     C, M = C_and_M

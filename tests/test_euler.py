@@ -354,7 +354,7 @@ def cycle_pairs(draw, complexes=ORACLE_COMPLEXES):
     )
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(cycle_pairs())
 def test_homologous_agrees_with_the_subdivision_oracle(case):
     X, xi, eta = case
@@ -382,7 +382,7 @@ def subdivided_walk(sub: Subdivision, walk):
     return out
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(cycle_pairs({
     **ORACLE_COMPLEXES,
     "sd_klein_bottle": barycentric_subdivision(corpus.klein_bottle()).complex,
@@ -446,7 +446,7 @@ def test_homologous_hands_one_column_per_critical_triangle(monkeypatch):
 # --- the boundary identity on random complete matchings ---
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(euler_zero_complexes)
 def test_euler_chain_boundary_identity_on_random_complete_matchings(X):
     """d xi = sum (-1)^dim(sigma) b_sigma, computed on the subdivision's own

@@ -67,14 +67,23 @@ def test_snf_shapes_and_empty_matrices():
         smith_normal_form([[1, 2], [3]])
 
 
+def _assert_snf_contract(A, n):
+    s = tracked_smith(A, n_cols=n)
+    assert snf_is_valid(A, s), (A, s.diagonal)
+    assert smith_normal_form(A, n_cols=n).diagonal == s.diagonal
+
+
 def test_snf_full_contract_on_random_matrices():
     rng = random.Random(9)
     for _ in range(80):
         m, n = rng.randrange(0, 6), rng.randrange(0, 6)
-        A = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(m)]
-        s = tracked_smith(A, n_cols=n)
-        assert snf_is_valid(A, s), (A, s.diagonal)
-        assert smith_normal_form(A, n_cols=n).diagonal == s.diagonal
+        _assert_snf_contract([[rng.randrange(-5, 6) for _ in range(n)] for _ in range(m)], n)
+
+
+@settings(max_examples=100)
+@given(small_matrices())
+def test_snf_full_contract_on_drawn_matrices(case):
+    _assert_snf_contract(*case)
 
 
 def test_snf_diagonal_matches_sympy():
@@ -300,7 +309,7 @@ def test_in_column_span_agrees_with_the_row_transform():
         assert got or trial % 2 == 0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(small_matrices(), st.data())
 def test_in_column_span_agrees_with_the_row_transform_on_drawn_matrices(case, data):
     A, n = case
@@ -527,7 +536,7 @@ def _classify_corpus_loops():
             cycle_class(C, 1, z)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(small_complexes, st.randoms(use_true_random=False))
 def test_cycle_class_equals_the_transform_route(X, rng):
     # cycles in every degree: a combination of boundaries of (k+1)-cells,

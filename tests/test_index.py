@@ -11,7 +11,7 @@ from oracles import facets_by_slices, hasse_edges, hyperfaces_by_slices, index_b
 from strategies import small_complexes
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes)
 def test_index_agrees_with_the_cell_tuples(X):
     index = X.index()
@@ -25,7 +25,7 @@ def test_index_agrees_with_the_cell_tuples(X):
         assert [cells[j] for j in index.cofaces[i]] == covers
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes)
 def test_hasse_is_the_index_and_its_edges_are_the_cover_pairs(X):
     H = hasse(X)
@@ -45,7 +45,7 @@ def test_hasse_is_the_index_and_its_edges_are_the_cover_pairs(X):
     assert not validate_matching(H, [(cells[0], (99,))]).ok
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes, small_complexes)
 def test_equality_and_hash_do_not_see_the_index(X, Y):
     same = SimplicialComplex(list(X.all_cells()))
@@ -85,7 +85,7 @@ def test_faces_match_the_slices_on_the_corpus_and_its_subdivisions(name):
         assert_counts_match_the_cells(X)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes)
 def test_faces_match_the_slices(X):
     assert_faces_match_the_slices(X)

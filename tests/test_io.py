@@ -197,7 +197,7 @@ def named_cells(X, table):
     return {frozenset(table.decode(v) for v in c) for c in X.all_cells()}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes, tables)
 def test_complexes_round_trip(X, table):
     Y, table2 = parse_complex(format_complex(X, table))
@@ -207,14 +207,14 @@ def test_complexes_round_trip(X, table):
         assert Y == X
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes, tables, st.integers(0, 2**32 - 1))
 def test_matchings_round_trip(X, table, seed):
     M = random_matching(X, random.Random(seed))
     assert Matching(parse_matching(format_matching(M, table), table)) == M
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes, tables, st.data())
 def test_chains_round_trip(X, table, data):
     edges = hasse_edges(X)

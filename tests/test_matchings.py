@@ -219,7 +219,7 @@ seeded_random_matchings = st.builds(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.one_of(seeded_random_matchings, tetrahedra_rings()))
 def test_is_morse_and_witness_agree_with_the_oracle_up_to_dimension_3(X_and_M):
     X, M = X_and_M
@@ -294,7 +294,7 @@ def _check_collapses_against_the_reference(X: SimplicialComplex, seeds) -> None:
             assert (None if got is None else matchings._field(H, got)) == want
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(small_complexes, st.integers(0, 2**32 - 1))
 def test_collapses_equal_the_reference_engine(X, seed):
     _check_collapses_against_the_reference(X, [seed, seed + 1])
@@ -391,7 +391,7 @@ def _answer(call, X, M):
         return None
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.one_of(seeded_random_matchings, tetrahedra_rings()),
     st.permutations(("is_morse", "closed_vpath", "thom_smale_complex")),

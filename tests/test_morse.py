@@ -98,27 +98,39 @@ def test_vpaths_requires_a_morse_matching():
         vpaths(X, cyc, (0,), (2,))
 
 
+def _assert_counts_match_enumeration(X, M):
+    for k in range(X.dim + 1):
+        for start in X.cells(k):
+            counts = path_counts_signed(X, M, start)
+            brute = {}
+            for end in X.cells(k):
+                if M.covers(end):
+                    continue
+                total = sum(multiplicity(X, g) for g in vpaths(X, M, start, end))
+                if total:
+                    brute[end] = total
+            assert counts == brute, (start, M.pairs())
+
+
 def test_path_counts_signed_agrees_with_enumeration():
     rng = random.Random(23)
     for X in (circle(), triangle(), torus()):
         for _ in range(6):
-            M = thin_matching(random_morse_matching(X, rng), rng, 0.7)
-            for k in range(X.dim + 1):
-                for start in X.cells(k):
-                    counts = path_counts_signed(X, M, start)
-                    brute = {}
-                    for end in X.cells(k):
-                        if M.covers(end):
-                            continue
-                        total = sum(
-                            multiplicity(X, g) for g in vpaths(X, M, start, end)
-                        )
-                        if total:
-                            brute[end] = total
-                    assert counts == brute, (start, M.pairs())
+            _assert_counts_match_enumeration(X, thin_matching(random_morse_matching(X, rng), rng, 0.7))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
+@given(
+    small_complexes.filter(lambda X: X.dim <= 2),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((0.4, 0.7, 1.0)),
+)
+def test_path_counts_signed_agrees_with_enumeration_on_drawn_matchings(X, seed, keep):
+    rng = random.Random(seed)
+    _assert_counts_match_enumeration(X, thin_matching(random_morse_matching(X, rng), rng, keep))
+
+
+@settings(max_examples=60)
 @given(small_complexes, st.integers(0, 2**32 - 1), st.sampled_from((0.4, 0.7, 1.0)))
 def test_thom_smale_columns_agree_with_enumeration(X, seed, keep):
     rng = random.Random(seed)
@@ -264,7 +276,7 @@ def test_thom_smale_preserves_homology_on_random_matchings():
             assert homology(thom_smale_complex(X, M)) == hX
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(small_complexes, st.integers(0, 2**32 - 1), st.sampled_from((0.4, 0.7, 1.0)))
 def test_thom_smale_preserves_homology_on_drawn_matchings(X, seed, keep):
     rng = random.Random(seed)
