@@ -8,15 +8,17 @@ plain ``cell -> -1`` tables produced by :func:`reorient` in
 ``orientation`` argument.
 
 A complex stores its cells once, numbered by (dimension, lexicographic)
-rank. Its cell index and barycentric subdivision use those ids; the index
-builds faces and cofaces on first use.
+rank. Every constructor hands its cells over one dimension at a time and
+each dimension is sorted once. Its cell index and barycentric subdivision
+use those ids; the index builds faces and cofaces on first use, an edge's
+faces from its vertex labels and the cofaces one dimension at a time.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
+import operator
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ParseError
@@ -72,12 +74,6 @@ def hyperfaces(cell: Cell) -> list[Cell]:
     return faces
 
 
-def proper_faces(cell: Cell) -> Iterator[Cell]:
-    """All faces of strictly smaller dimension, dimension ascending."""
-    for r in range(1, len(cell)):
-        yield from itertools.combinations(cell, r)
-
-
 class CellIndex(NamedTuple):
     """Cells numbered by (dimension, lexicographic) rank, as in all_cells().
     ``faces[i]`` lists the hyperface ids of cell i in :func:`hyperfaces`
@@ -103,47 +99,64 @@ class SimplicialComplex:
         canon = {as_cell(c) for c in cells}
         if not canon:
             raise ValueError("a complex needs at least one cell")
+        layers: list[list[Cell]] = [[] for _ in range(max(map(len, canon)))]
         for c in canon:
             for f in hyperfaces(c):
                 if f not in canon:
                     raise ValueError(f"not closed under faces: {c} present, {f} missing")
-        self._fill(canon)
+            layers[len(c) - 1].append(c)
+        self._number(layers)
 
-    def _fill(self, canon: Iterable[Cell]) -> None:
-        """Number distinct canonical cells already closed under faces."""
-        # sorted is stable: by dimension, and lexicographic within one
-        self._cells = cells = tuple(sorted(sorted(canon), key=len))
+    def _number(self, layers: Iterable[Iterable[Cell]]) -> None:
+        """Number distinct canonical cells already closed under faces, given
+        one dimension at a time: layers[k] holds the k-cells, unsorted."""
+        ordered: list[Cell] = []
+        starts = [0]
+        for layer in layers:
+            ordered += sorted(layer)
+            starts.append(len(ordered))
+        self._cells = cells = tuple(ordered)
         self._id_of = dict(zip(cells, range(len(cells))))
         # _starts[k] is the id of the first k-cell, _starts[dim + 1] the count
-        self._starts = tuple(
-            bisect.bisect_left(cells, n, key=len) for n in range(1, len(cells[-1]) + 2)
-        )
+        self._starts = tuple(starts)
         self._index: CellIndex | None = None
+
+    @classmethod
+    def _closure(cls, facets: list[Cell]) -> "SimplicialComplex":
+        """The closure of canonical facets under taking faces.
+
+        The facets must be canonical cells, as :func:`as_cell` returns
+        them; nothing checks that here. When they would expand to more
+        than MAX_FACET_CELLS faces (counted with repeats), ParseError is
+        raised before any face is built. Each dimension is one set, closed
+        from the hyperfaces of the dimension above and sorted once.
+        """
+        if sum((1 << len(c)) - 1 for c in facets) > MAX_FACET_CELLS:
+            raise ParseError(f"facets expand to more than {MAX_FACET_CELLS} cells")
+        if not facets:
+            raise ValueError("at least one facet is required")
+        layers: list[set[Cell]] = [set() for _ in range(max(map(len, facets)))]
+        for c in facets:
+            layers[len(c) - 1].add(c)
+        for k in range(len(layers) - 1, 0, -1):
+            # the hyperfaces of canonical k-cells are canonical (k-1)-cells
+            faces = map(itertools.combinations, layers[k], itertools.repeat(k))
+            layers[k - 1].update(itertools.chain.from_iterable(faces))
+        X = cls.__new__(cls)
+        X._number(layers)
+        return X
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Build the closure of the given facets under taking faces.
 
-        A k-vertex facet has 2**k - 1 faces. When the facets together
+        Each facet is checked and canonicalized by :func:`as_cell`. A
+        k-vertex facet has 2**k - 1 faces. When the facets together
         would expand to more than MAX_FACET_CELLS faces (counted with
-        repeats), ParseError is raised before any face is built.
+        repeats), ParseError is raised before any face is built. The
+        closure is built and numbered one dimension at a time.
         """
-        cells = [as_cell(f) for f in facets]
-        if sum((1 << len(c)) - 1 for c in cells) > MAX_FACET_CELLS:
-            raise ParseError(
-                f"facets expand to more than {MAX_FACET_CELLS} cells"
-            )
-        closed: set[Cell] = set()
-        for c in cells:
-            for r in range(1, len(c) + 1):
-                closed.update(itertools.combinations(c, r))
-        if not closed:
-            raise ValueError("at least one facet is required")
-        # faces of canonical cells are canonical, and the closure is closed
-        # under faces: the constructor's checks would pass on every cell
-        X = cls.__new__(cls)
-        X._fill(closed)
-        return X
+        return cls._closure([as_cell(f) for f in facets])
 
     @property
     def dim(self) -> int:
@@ -165,18 +178,32 @@ class SimplicialComplex:
     def index(self) -> CellIndex:
         """The cell index, built on first use and kept (X is immutable)."""
         if self._index is None:
-            cells, id_of = self._cells, self._id_of
-            n0, face_id = self._starts[1], id_of.__getitem__
+            cells, id_of, s = self._cells, self._id_of, self._starts
+            n0, n1 = s[1], s[min(2, len(s) - 1)]  # the vertices, then the edges end
+            # an edge's faces by vertex label, higher cells' by their tuples;
             # combinations drop the last vertex first: reversed, hyperfaces order
-            faces = ((),) * n0 + tuple(
-                tuple(map(face_id, itertools.combinations(c, len(c) - 1)))[::-1]
-                for c in cells[n0:]
+            ids = list(id_of.values())  # the dict's own ints, shared by faces and cofaces
+            vertex_id = dict(zip([c[0] for c in cells[:n0]], ids))
+            faces = (
+                ((),) * n0
+                + tuple((vertex_id[b], vertex_id[a]) for a, b in cells[n0:n1])
+                + tuple(
+                    tuple(map(id_of.__getitem__, itertools.combinations(c, len(c) - 1)))[::-1]
+                    for c in cells[n1:]
+                )
             )
-            up: list[list[int]] = [[] for _ in cells]
-            for i, fs in zip(id_of.values(), faces):
-                for f in fs:
-                    up[f].append(i)
-            self._index = CellIndex(cells, id_of, faces, tuple(map(tuple, up)))
+            # one dimension at a time, each list replaced by its tuple as it
+            # is made: no dimension's lists live beside many tuples
+            cofaces: list[tuple[int, ...]] = []
+            for lo, hi, top in zip(s, s[1:], s[2:] + s[-1:]):
+                up: list = [[] for _ in range(hi - lo)]
+                for i, fs in zip(ids[hi:top], faces[hi:top]):
+                    for f in fs:
+                        up[f - lo].append(i)
+                for j, coface_ids in enumerate(up):
+                    up[j] = tuple(coface_ids)
+                cofaces += up
+            self._index = CellIndex(cells, id_of, faces, tuple(cofaces))
         return self._index
 
     def vertices(self) -> tuple[int, ...]:
@@ -236,14 +263,24 @@ def barycentric_subdivision(X: SimplicialComplex) -> Subdivision:
         a.append(1 + sum(math.comb(k + 1, j + 1) * a[j] for j in range(k)))
     if sum(len(X.cells(k)) * a[k] for k in range(X.dim + 1)) > MAX_FACET_CELLS:
         raise ParseError(f"subdivision has more than {MAX_FACET_CELLS} cells")
-    cells, id_of = X._cells, X._id_of
-    ends: list[list[Cell]] = []  # ends[i]: the chains whose top is cell i
+    cells, id_of, starts = X._cells, X._id_of, X._starts
+    # ends[i][j]: the chains of j + 1 cells whose top is cell i; such a chain
+    # extends a chain of j cells whose top is a face of i of at least j vertices
+    ends: list[list[list[Cell]]] = []
     for i, c in enumerate(cells):  # faces come first, with smaller ids
-        ends.append([(i,)] + [ch + (i,) for f in proper_faces(c) for ch in ends[id_of[f]]])
+        ends.append([[(i,)]] + [
+            [ch + (i,) for r in range(j, len(c)) for f in itertools.combinations(c, r)
+             for ch in ends[id_of[f]][j - 1]]
+            for j in range(1, len(c))
+        ])
     # chains are distinct increasing vertex tuples, and every sub-chain of a
-    # chain is a chain: the constructor's checks would pass on every cell
+    # chain is a chain: the constructor's checks would pass on every cell.
+    # The cells from starts[j] on have at least j + 1 vertices.
     sd = SimplicialComplex.__new__(SimplicialComplex)
-    sd._fill(itertools.chain.from_iterable(ends))
+    sd._number(
+        itertools.chain.from_iterable(map(operator.itemgetter(j), ends[starts[j]:]))
+        for j in range(X.dim + 1)
+    )
     return Subdivision(sd, dict(id_of), dict(enumerate(cells)))
 
 

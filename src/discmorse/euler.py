@@ -79,7 +79,9 @@ class EulerChain:
 
     Segments are (from_cell, to_cell, multiplicity) with from and to
     comparable cells of different dimension; storage is canonical: merged,
-    zero-free, from < to in the face order, sorted.
+    zero-free, from < to in the face order, sorted. ``from_segments``
+    makes raw segments canonical; direct construction must pass them
+    canonical already, as the chains built here do, unchecked.
     """
 
     segments: tuple[tuple[Cell, Cell, int], ...]
@@ -112,9 +114,28 @@ class EulerChain:
         return {c: v for c, v in out.items() if v}
 
     def __sub__(self, other: "EulerChain") -> "EulerChain":
-        return EulerChain.from_segments(
-            list(self.segments) + [(a, b, -m) for a, b, m in other.segments]
-        )
+        # both are canonical: one merge of the two sorted tuples, summing a
+        # pair of cells found in both and dropping it when the sum is zero
+        xs, ys = self.segments, other.segments
+        out: list[tuple[Cell, Cell, int]] = []
+        i = j = 0
+        while i < len(xs) and j < len(ys):
+            a, b, m = xs[i]
+            c, d, n = ys[j]
+            if (a, b) < (c, d):
+                out.append(xs[i])
+                i += 1
+            elif (c, d) < (a, b):
+                out.append((c, d, -n))
+                j += 1
+            else:
+                if m != n:
+                    out.append((a, b, m - n))
+                i += 1
+                j += 1
+        out += xs[i:]
+        out += [(c, d, -n) for c, d, n in ys[j:]]
+        return EulerChain(tuple(out))
 
     def __len__(self) -> int:
         return len(self.segments)

@@ -4,7 +4,9 @@ Facet files: one facet per line, whitespace-separated vertex tokens,
 ``#`` starts a comment, blank lines are skipped. When every token is a
 string of ASCII digits the tokens are used as vertex ids directly;
 otherwise the sorted distinct tokens are numbered 0, 1, ... and that
-symbol table travels with the complex.
+symbol table travels with the complex. Each token is checked once, where
+it is read; a line becomes a canonical facet there, and the facets go to
+the complex's closure without a second check.
 
 Matching files: one pair per line, ``lower-cell ; upper-cell``, each side
 a vertex list in the same token language as the complex it belongs to.
@@ -69,31 +71,39 @@ def _is_numeric(token: str) -> bool:
 
 
 def parse_complex(text: str) -> tuple[SimplicialComplex, SymbolTable]:
-    """Parse a facet file into a complex and its symbol table."""
-    lines = _content_lines(text)
-    if not lines:
+    """Parse a facet file into a complex and its symbol table.
+
+    Each content line becomes a canonical facet where it is read: its
+    vertex ids sorted, a repeated one refused with the line's number. The
+    facets then go to the closure shared with ``from_facets``, which
+    builds and numbers the faces one dimension at a time, without being
+    checked again.
+    """
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            rows.append((lineno, tokens))
+    if not rows:
         raise ParseError("no facets found")
-    rows = [(lineno, body.split()) for lineno, body in lines]
-    all_tokens = [t for _, tokens in rows for t in tokens]
-    if _is_numeric("".join(all_tokens)):  # tokens are never empty
+    if _is_numeric("".join([t for _, tokens in rows for t in tokens])):  # tokens are never empty
         table = SymbolTable()
         convert = int
     else:
-        table = SymbolTable(tuple(sorted(set(all_tokens))))
+        table = SymbolTable(tuple(sorted({t for _, tokens in rows for t in tokens})))
         convert = table._index.__getitem__
     facets = []
     for lineno, tokens in rows:
         try:
-            verts = list(map(convert, tokens))
+            facet = sorted(map(convert, tokens))
         except ValueError:  # more digits than int() converts: encode says so
-            verts = [table.encode(t, lineno) for t in tokens]
-        if len(set(verts)) != len(verts):
+            facet = [table.encode(t, lineno) for t in tokens]
+        if len(set(facet)) != len(facet):
             raise ParseError("facet repeats a vertex", lineno)
-        facets.append(verts)
-    try:
-        return SimplicialComplex.from_facets(facets), table
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        facets.append(tuple(facet))
+    del rows  # the token lists are not kept through the closure
+    # ids from ASCII digits or from the symbol table are non-negative ints
+    return SimplicialComplex._closure(facets), table
 
 
 def format_complex(X: SimplicialComplex, table: SymbolTable | None = None) -> str:

@@ -31,6 +31,7 @@ from discmorse.matchings import random_morse_matching
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(discmorse.__file__).resolve().parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 # the brute-force references live in tests/oracles.py: no package module
@@ -81,7 +82,7 @@ def workflow_steps() -> list[tuple[str, list[str]]]:
     """(name, run lines) of each step of the workflow, in order; an unnamed
     step has the name "" and a step without ``run`` no lines."""
     steps = []
-    for name, body in STEP.findall((ROOT / ".github" / "workflows" / "tests.yml").read_text()):
+    for name, body in STEP.findall(WORKFLOW.read_text()):
         inline, block = run.groups() if (run := RUN.search(body)) else ("", "")
         lines = [line.strip() for line in block.splitlines()] if inline == "|" else [inline]
         steps.append((name, [line for line in lines if line]))
@@ -89,6 +90,9 @@ def workflow_steps() -> list[tuple[str, list[str]]]:
 
 
 def test_the_workflow_installs_then_runs_tier_1_the_smoke_and_the_command():
+    # the job's own keys, indented four spaces: a hung test cannot hold it
+    job = re.search(r"^  tier-1:\n((?: {4}.*\n|\n)*)", WORKFLOW.read_text(), re.M).group(1)
+    assert re.findall(r"^ {4}timeout-minutes: (.*)$", job, re.M) == ["15"]
     steps = workflow_steps()
     names = [name for name, _ in steps]
     run = dict(steps)

@@ -10,7 +10,6 @@ from discmorse.complexes import (
     barycentric_subdivision,
     hyperfaces,
     product_triangulation,
-    proper_faces,
 )
 from discmorse.errors import ParseError
 from oracles import incidence
@@ -66,9 +65,6 @@ def test_as_cell_accepts_int_subclasses_through_the_full_checks():
 def test_cell_dim_and_faces():
     assert hyperfaces((0, 1, 2)) == [(1, 2), (0, 2), (0, 1)]
     assert hyperfaces((3,)) == []
-    assert sorted(proper_faces((0, 1, 2))) == [
-        (0,), (0, 1), (0, 2), (1,), (1, 2), (2,),
-    ]
 
 
 def test_incidence_signs():

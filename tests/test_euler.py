@@ -354,6 +354,32 @@ def cycle_pairs(draw, complexes=ORACLE_COMPLEXES):
     )
 
 
+@st.composite
+def chain_pairs(draw):
+    """Two chains on one complex, from raw segments; eta repeats some of
+    xi's segments, with their own multiplicity or xi's, so that the
+    difference merges, keeps and cancels pairs of cells."""
+    X = ORACLE_COMPLEXES[draw(st.sampled_from(sorted(ORACLE_COMPLEXES)))]
+    cells, nbrs = _barycenter_graph(X)
+    segment = st.sampled_from(cells).flatmap(
+        lambda a: st.tuples(st.just(a), st.sampled_from(nbrs[a]), st.integers(-3, 3))
+    )
+    xi = EulerChain.from_segments(draw(st.lists(segment, max_size=8)))
+    shared = st.sampled_from(xi.segments).flatmap(
+        lambda s: st.sampled_from([s, (s[1], s[0], s[2]), (*s[:2], s[2] + 1)])
+    ) if xi.segments else st.nothing()
+    eta = EulerChain.from_segments(draw(st.lists(segment | shared, max_size=8)))
+    return xi, eta
+
+
+@settings(max_examples=100)
+@given(chain_pairs())
+def test_subtraction_merges_as_from_segments_does(pair):
+    xi, eta = pair
+    want = EulerChain.from_segments(xi.segments + tuple((a, b, -m) for a, b, m in eta.segments))
+    assert xi - eta == want
+
+
 @settings(max_examples=50)
 @given(cycle_pairs())
 def test_homologous_agrees_with_the_subdivision_oracle(case):

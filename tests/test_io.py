@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from discmorse.complexes import SimplicialComplex
 from discmorse.errors import ParseError
 from discmorse.euler import EulerChain
 from discmorse.io import (
@@ -227,3 +229,66 @@ def test_chains_round_trip(X, table, data):
     )
     assume(len(chain))
     assert parse_chain(format_chain(chain, table), table) == chain
+
+
+# --- the parse path against from_facets ---
+
+
+@st.composite
+def facet_texts(draw):
+    """Noisy facet text for a small complex, and each line's tokens.
+
+    Lines and their tokens are shuffled; some facets are written twice,
+    some faces of facets and some lone vertices are written as facets of
+    their own; comments, blank lines and tabs are mixed in. Tokens are
+    symbols, or numbers with leading zeros."""
+    X, table = draw(small_complexes), draw(tables)
+    extra = st.lists(st.sampled_from(list(X.all_cells())), max_size=4)
+    lone = st.lists(st.integers(0, 6).map(lambda v: (v,)), max_size=2)
+    lines, rows = [], []
+    for cell in draw(st.permutations(list(X.facets()) + draw(extra) + draw(lone))):
+        tokens = [table.decode(v) for v in draw(st.permutations(cell))]
+        if table.numeric:
+            tokens = ["0" * draw(st.integers(0, 2)) + t for t in tokens]
+        rows.append(tokens)
+        comment = draw(st.sampled_from(["", " # 0 1 x", "#a#"]))
+        lines.append(draw(st.sampled_from([" ", "\t", " \t "])).join(tokens) + comment)
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# 7 8", "\t# y"]), max_size=1))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), rows
+
+
+def assert_parses_as_from_facets(text, rows):
+    X, table = parse_complex(text)
+    facets = [[table.encode(t) for t in tokens] for tokens in rows]
+    Y = SimplicialComplex.from_facets(facets)
+    assert (X._cells, X._id_of, X._starts) == (Y._cells, Y._id_of, Y._starts)
+    assert list(X._id_of.items()) == list(zip(X._cells, range(X.n_cells)))
+    assert X.index() == Y.index()
+    # (dimension, lexicographic) rank, from every subset of every facet
+    closure = {
+        f for c in map(sorted, facets)
+        for r in range(1, len(c) + 1) for f in itertools.combinations(c, r)
+    }
+    assert list(X._cells) == sorted(closure, key=lambda c: (len(c), c))
+    sizes = [sum(len(c) == k + 1 for c in closure) for k in range(X.dim + 1)]
+    assert X._starts == tuple(itertools.accumulate(sizes, initial=0))
+
+
+@settings(max_examples=150)
+@given(facet_texts())
+def test_parse_complex_numbers_cells_as_from_facets_does(case):
+    assert_parses_as_from_facets(*case)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3\n",  # one vertex
+        "5\n# c\n0\n\n005 2\n",  # vertices only, then an edge
+        "2 0\n1 2\n0 1\n2\n",  # only edges, one vertex repeated as a facet
+        "b a\nc b\nz\n",  # symbolic edges and a lone vertex
+    ],
+)
+def test_parse_complex_in_dimensions_0_and_1(text):
+    rows = [tokens for line in text.splitlines() if (tokens := line.split("#")[0].split())]
+    assert_parses_as_from_facets(text, rows)
