@@ -6,8 +6,9 @@ The package is organized bottom-up:
   products; ``ChainComplex(bases, boundaries)`` stores each boundary as
   sparse columns ``boundaries[k] = {label: {face: coeff}}``.
 - matchings: (Morse) matchings on the Hasse diagram, which is the cell
-  index (``hasse(X)`` is ``X.index()``); acyclicity, collapses, greedy and
-  randomized matching search.
+  index ``X.index()``; acyclicity, collapses, greedy and randomized
+  matching search. The package calls ``X.index()``; its alias ``hasse``
+  is kept for the benchmark.
 - morse: the chain complex on critical cells from signed V-path counts,
   and ``simplicial_homology``, which runs the Smith form on that complex
   only.

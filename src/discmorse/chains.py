@@ -27,8 +27,9 @@ class ChainComplex:
     ``bases[k]`` lists labels of the degree-k generators for every k from 0
     to the top degree (empty degrees allowed). ``boundaries[k]`` maps
     degree-k labels to sparse columns ``{degree-(k-1) label: coefficient}``;
-    missing columns and entries are zero. Construction checks labels and
-    that consecutive boundaries compose to zero.
+    missing columns and entries are zero. Construction checks labels, that
+    every coefficient is an int, and that consecutive boundaries compose
+    to zero.
     """
 
     def __init__(
@@ -52,6 +53,9 @@ class ChainComplex:
         self._columns: dict[int, dict[Label, Column]] = {k: {} for k in range(1, top + 1)}
         for k, columns in boundaries.items():
             for tau, col in columns.items():
+                for v in col.values():
+                    if type(v) is not int:
+                        raise ValueError(f"boundary of {tau!r} has the non-int entry {v!r}")
                 col = {sigma: v for sigma, v in col.items() if v}
                 if tau not in self._bases[k] or not col.keys() <= self._bases[k - 1].keys():
                     raise ValueError(f"boundary of {tau!r} leaves degrees {k} and {k - 1}")

@@ -43,7 +43,6 @@ from .matchings import (
     Pair,
     closed_vpath,
     greedy_morse_matching,
-    hasse,
     is_morse,
     validate_matching,
 )
@@ -170,7 +169,7 @@ def _read_matching(
     """The pairs of a matching file, in file order, once validate_matching
     accepts them on X; None after reporting a negative verdict."""
     pairs = parse_matching(_read_file(path, report), table)
-    verdict = validate_matching(hasse(X), pairs)
+    verdict = validate_matching(X.index(), pairs)
     report.put("matching_valid", verdict.ok)
     if not verdict.ok:
         report.put("matching_problem", verdict.problem)
@@ -190,7 +189,7 @@ def cmd_morse(args: argparse.Namespace) -> Report:
             return report
         M = Matching(pairs)
     report.put("pairs", len(M))
-    witness = closed_vpath(hasse(X), M)
+    witness = closed_vpath(X.index(), M)
     report.put("morse", witness is None)
     if witness is not None:
         report.put(
@@ -218,7 +217,7 @@ def cmd_reduce(args: argparse.Namespace) -> Report:
         return report
     M = Matching(pairs)
     C = chain_complex(X)
-    morse = is_morse(hasse(X), M)
+    morse = is_morse(X.index(), M)
     report.put("morse", morse)
 
     if args.all_orders:
@@ -270,7 +269,7 @@ def cmd_euler(args: argparse.Namespace) -> Report:
             return report
         M = Matching(pairs)
     else:
-        M = complete_matching(hasse(X))
+        M = complete_matching(X.index())
         if M is None:
             report.put("complete", False)
             chi = X.euler_characteristic()

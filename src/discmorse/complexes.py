@@ -32,7 +32,7 @@ def _check_orientation(X: SimplicialComplex, orientation: Orientation | None) ->
     for cell, sign in (orientation or {}).items():
         if cell not in X:
             raise ValueError(f"orientation names {cell}, which is not a cell of X")
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"orientation of {cell} is {sign!r}, not +1 or -1")
 
 
@@ -49,7 +49,11 @@ _PLAIN_INT = frozenset({int})
 
 def as_cell(vertices: Iterable[int]) -> Cell:
     """Canonicalize a vertex collection into a cell (sorted, distinct)."""
-    vs = tuple(sorted(vertices))
+    labels = tuple(vertices)  # an iterator is read once
+    try:
+        vs = tuple(sorted(labels))
+    except TypeError:  # labels that do not compare: the checks name the first bad one
+        vs = labels
     if vs and set(map(type, vs)) == _PLAIN_INT and vs[0] >= 0 and len(set(vs)) == len(vs):
         return vs  # distinct non-negative plain ints: the common case
     if not vs:

@@ -31,11 +31,10 @@ larger budget only extends.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import defaultdict
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .chains import ChainComplex, Column, Label, _add_scaled
 from .errors import EliminationError
@@ -178,21 +177,16 @@ class OrdersResult(NamedTuple):
     failing_order: tuple[Pair, ...] | None
 
 
-def _iter_orders(
-    pairs: tuple[Pair, ...], max_orders: int
-) -> tuple[bool, Iterable[tuple[Pair, ...]]]:
-    if len(pairs) <= 8:
-        return True, itertools.permutations(pairs)
+def _sampled_orders(pairs: tuple[Pair, ...], max_orders: int) -> Iterator[tuple[Pair, ...]]:
+    """The orders tested past 8 pairs: pairs as given, then the shuffles of
+    ``random.Random(0)``, max_orders in all, so a larger budget extends a
+    smaller one's."""
+    yield pairs
     rng = random.Random(0)
-
-    def sample():
-        yield pairs
-        for _ in range(max_orders - 1):
-            order = list(pairs)
-            rng.shuffle(order)
-            yield tuple(order)
-
-    return False, sample()
+    for _ in range(max_orders - 1):
+        order = list(pairs)
+        rng.shuffle(order)
+        yield tuple(order)
 
 
 def _pair_submatrix(C: ChainComplex, pairs: Sequence[Pair]) -> ChainComplex:
@@ -215,7 +209,7 @@ def _pair_submatrix(C: ChainComplex, pairs: Sequence[Pair]) -> ChainComplex:
 def _first_failing_order(
     sub: ChainComplex, pairs: tuple[Pair, ...]
 ) -> tuple[int, tuple[Pair, ...] | None]:
-    """Walk the orders of pairs in itertools.permutations order, one
+    """Walk the orders of pairs in lexicographic order of positions, one
     reduction of sub per set of pairs done: the orders tested up to and
     including the first that fails, and that order; or |pairs|! and None.
 
@@ -275,7 +269,7 @@ def all_orders_agree(C: ChainComplex, M: Matching, max_orders: int = 100) -> Ord
     if max_orders < 1:
         raise ValueError(f"max_orders must be at least 1, got {max_orders}")
     pairs = M.pairs()
-    exhaustive, orders = _iter_orders(pairs, max_orders)
+    exhaustive = len(pairs) <= 8
     R = _Reduction(C)
     if (failure := R.run(pairs)[1]) is not None:
         return OrdersResult(False, 1, exhaustive, None, failure, pairs)
@@ -284,7 +278,9 @@ def all_orders_agree(C: ChainComplex, M: Matching, max_orders: int = 100) -> Ord
         tested, order = _first_failing_order(sub, pairs)
     else:
         tested, order = max_orders, None
-        for t, shuffled in enumerate(itertools.islice(orders, 1, None), 2):
+        orders = _sampled_orders(pairs, max_orders)
+        next(orders)  # the sorted order, run on C above
+        for t, shuffled in enumerate(orders, 2):
             if _Reduction(sub).run(shuffled)[1] is not None:
                 tested, order = t, shuffled
                 break

@@ -184,12 +184,15 @@ class SmithNormalForm:
 def smith_normal_form(A: Sequence[Sequence[int]], n_cols: int | None = None) -> SmithNormalForm:
     """Smith normal form of an integer matrix given as a list of rows.
 
-    ``n_cols`` disambiguates the width of matrices with zero rows.
+    ``n_cols`` disambiguates the width of matrices with zero rows. An entry
+    that is not an int (a float, a bool) raises ValueError.
     """
     if n_cols is None:
         n_cols = len(A[0]) if A else 0
     if any(len(row) != n_cols for row in A):
         raise ValueError("ragged matrix")
+    if bad := [v for row in A for v in row if type(v) is not int]:
+        raise ValueError(f"matrix entry {bad[0]!r} is not an int")
     return _smith(_SmithWorker([{j: v for j, v in enumerate(row) if v} for row in A], n_cols))
 
 

@@ -1,10 +1,11 @@
 """Matchings on the Hasse diagram of a complex's face poset.
 
-The Hasse diagram is the complex's cell index (``hasse(X)`` is
-``X.index()``): its ``faces`` and ``cofaces`` are the cover relation down
-and up. A matching pairs a cell with one of its codimension-1 cofaces, no
-cell in two pairs. A matching is Morse when it admits no closed V-path. A
-closed V-path alternates between a k-cell and its matched (k+1)-coface, so
+The Hasse diagram is the complex's cell index ``X.index()``: its
+``faces`` and ``cofaces`` are the cover relation down and up. The package
+calls ``X.index()``; :func:`hasse` is its alias, kept for the benchmark.
+A matching pairs a cell with one of its codimension-1 cofaces, no cell in
+two pairs. A matching is Morse when it admits no closed V-path. A closed
+V-path alternates between a k-cell and its matched (k+1)-coface, so
 only matched pairs can lie on one: the decision is one pass over the pairs
 (Kahn's algorithm on their V-digraph), and a depth-first search over the
 Hasse diagram runs only to find a witness once that pass finds a cycle.
@@ -31,7 +32,9 @@ Pair = tuple[Cell, Cell]
 
 
 def hasse(X: SimplicialComplex) -> CellIndex:
-    """The Hasse diagram of X, that is its cell index."""
+    """The Hasse diagram of X, that is its cell index ``X.index()``. No
+    module of the package calls it; the benchmark's workloads and tracer
+    name it."""
     return X.index()
 
 
@@ -99,22 +102,8 @@ class Matching:
         """The discrete vector field: the matched coface, or None."""
         return self._up.get(sigma)
 
-    def v_inverse(self, tau: Cell) -> Cell | None:
-        """The matched face of tau, found among its hyperfaces, or None."""
-        up = self._up
-        return next((s for s in hyperfaces(tau) if up.get(s) == tau), None) if tau else None
-
-    def covers(self, cell: Cell) -> bool:
-        return cell in self._up or self.v_inverse(cell) is not None
-
     def pairs(self) -> tuple[Pair, ...]:
         return tuple(sorted(self._up.items()))
-
-    def remove(self, edge: Pair) -> "Matching":
-        """The matching without one pair. Submatchings of Morse stay Morse."""
-        if edge not in self:
-            raise ValueError(f"edge {edge} is not in the matching")
-        return Matching(p for p in self._up.items() if p != edge)
 
     def __contains__(self, edge: object) -> bool:
         return edge in self._up.items()

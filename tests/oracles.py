@@ -72,6 +72,16 @@ def hasse_edges(X: SimplicialComplex) -> list[Pair]:
     return [(sigma, cells[j]) for sigma, ups in zip(cells, cofaces) for j in ups]
 
 
+def v_inverse(M: Matching, tau: Cell) -> Cell | None:
+    """The matched face of tau, found among its hyperfaces, or None."""
+    return next((s for s in hyperfaces(tau) if M.v(s) == tau), None) if tau else None
+
+
+def covers(M: Matching, cell: Cell) -> bool:
+    """Whether cell lies in a pair of M, as its face or its coface."""
+    return M.v(cell) is not None or v_inverse(M, cell) is not None
+
+
 def random_matching(X: SimplicialComplex, rng: random.Random, density: float = 0.7) -> Matching:
     """A random valid matching with no Morse guarantee."""
     edges = hasse_edges(X)
@@ -169,7 +179,7 @@ def differential_entry(X: SimplicialComplex, M: Matching, tau: Cell, sigma: Cell
     """The coefficient of critical cell sigma in the differential of
     critical cell tau: the sum over hyperfaces s of tau of <d tau, s> times
     the multiplicities of the V-paths from s to sigma."""
-    if M.covers(tau) or M.covers(sigma):
+    if covers(M, tau) or covers(M, sigma):
         raise ValueError("tau and sigma must both be critical")
     if len(tau) != len(sigma) + 1:
         raise ValueError("tau must have dimension one above sigma")

@@ -44,6 +44,10 @@ def test_orientation_values_other_than_one_are_refused(entry):
         build({e: 2 for e in X.cells(1)})
     with pytest.raises(ValueError, match=r"orientation of \(0, 1, 3\) is 0, not"):
         build({(0, 1): -1, (0, 1, 3): 0})
+    # -1.0 and True compare equal to -1 and 1, but are not integers
+    for value in (-1.0, True):
+        with pytest.raises(ValueError, match=rf"orientation of \(0, 1, 3\) is {value}, not"):
+            build({(0, 1, 3): value})
     assert build({(0, 1): -1, (0, 1, 3): 1}) == build(reorient(X, [(0, 1)]))
 
 
@@ -121,6 +125,9 @@ def test_constructor_checks_shapes_and_labels():
         ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: {"g": {"a": 1}}})  # no column "g"
     with pytest.raises(ValueError):
         ChainComplex({0: ["a"]}, {1: {}})  # no degree 1
+    for bad in (2.5, True, 1.0):  # coefficients are integers only
+        with pytest.raises(ValueError, match=rf"boundary of 'e' has the non-int entry {bad}"):
+            ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: {"e": {"a": -1, "b": bad}}})
 
 
 def test_equality_is_by_bases_and_matrices():
@@ -161,7 +168,8 @@ def test_sparse_storage_agrees_with_the_incidence_oracle(case):
     assert checked == C
     T = thom_smale_complex(X, M, orientation)
     assert eliminate_sequence(C, M) == T
-    assert homology(T) == homology(C)
+    # the homology of the reoriented Morse complex is that of X
+    assert homology(T) == homology(C) == homology(chain_complex(X))
 
 
 @settings(max_examples=100)

@@ -1,19 +1,22 @@
 """Checks of the CI workflow and of the installed command, made in tier 1.
 
 Tier 1 is the one copy of every check of the package and its CLI. The
-workflow runs it, a short benchmark pass and two calls of the installed
-``discmorse`` command, and a test here reads the workflow to hold it to
-that. The installed command is checked through what it is built from: the
+workflow runs it, a short benchmark pass, two calls of the installed
+``discmorse`` command and the planted mutants of ``mutants/``, and a test
+here reads the workflow to hold it to that; another holds the mutants'
+table to the code and the tests. The installed command is checked through what it is built from: the
 ``[project.scripts]`` entry of pyproject.toml, and ``discmorse.cli`` run as
 a program. The CLI answers below are checked in process, through
 ``discmorse.cli.main``; a new CLI check is one more such test, never a
 workflow line.
 """
 
+import ast
 import json
 import os
 import random
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -42,7 +45,7 @@ ORACLE_NAMES = (
     "VPath", "HasseDiagram", "copying_eliminate", "copying_sequence", "hyperfaces_by_slices",
     "index_by_slices", "facets_by_slices", "TrackedSmith", "TrackedSmithForm", "tracked_smith",
     "cycle_class_by_transforms", "incidence", "dense_boundary", "thin_matching",
-    "reference_collapse", "homologous_on_complex",
+    "reference_collapse", "homologous_on_complex", "v_inverse", "covers",
 )
 ORACLE_PATTERN = re.compile(
     r"^\s*(from|import)\s+\S*oracles|^\s*(def|class)\s+(" + "|".join(ORACLE_NAMES) + r")\b"
@@ -98,12 +101,30 @@ def test_the_workflow_installs_then_runs_tier_1_the_smoke_and_the_command():
     run = dict(steps)
     assert "pip install -e '.[test]'" in run["Install"]
     after = names[names.index("Install") + 1:]
-    assert after == ["Tier-1 tests", "Benchmark correctness smoke", "Installed discmorse command"]
+    assert after == [
+        "Tier-1 tests", "Benchmark correctness smoke", "Installed discmorse command", "Planted mutants"
+    ]
     assert all(run[name] for name in after)
     assert run["Tier-1 tests"] == [
         "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
     ]
     assert any(line.split()[0] == "discmorse" for line in run["Installed discmorse command"])
+    assert run["Planted mutants"] == ["python3 mutants/run.py"]
+
+
+def test_every_planted_mutant_has_its_snippet_once_and_names_existing_tests():
+    mutants = runpy.run_path(str(ROOT / "mutants" / "table.py"))["MUTANTS"]
+    assert len({m.name for m in mutants}) == len(mutants) > 20
+    defined: dict[str, set[str]] = {}
+    for m in mutants:
+        assert (ROOT / m.file).read_text().count(m.find) == 1, m.name
+        assert m.replace != m.find and m.tests, m.name
+        for test in m.tests:
+            path, _, name = test.partition("::")
+            if path not in defined:
+                tree = ast.parse((ROOT / path).read_text())
+                defined[path] = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+            assert name.startswith("test_") and name in defined[path], (m.name, test)
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from discmorse import complexes, corpus
+from discmorse.chains import ChainComplex
 from discmorse.complexes import (
     MAX_FACET_CELLS,
     SimplicialComplex,
@@ -41,14 +42,39 @@ def test_as_cell_names_the_sorted_cell_of_a_repeated_vertex():
 def test_as_cell_checks_every_input_outside_plain_ints():
     assert as_cell(iter([3, 1, 2])) == (1, 2, 3)
     assert as_cell(range(4)) == (0, 1, 2, 3)
+    builds = (
+        as_cell,
+        lambda c: as_cell(iter(c)),
+        lambda c: SimplicialComplex.from_facets([(0, 1), c]),
+        lambda c: SimplicialComplex([(0,), c]),
+    )
     for bad, message in (
         ([1, True], "must be integers"),
         ([0, 1.0], "must be integers"),
         ([-2, 1], "non-negative"),
         ((), "at least one vertex"),
+        # labels that do not compare: the first bad one is named
+        ((1, "a"), "must be integers, got 'a'$"),
+        ((None, 1), "must be integers, got None$"),
+        (("x", 0, None), "must be integers, got 'x'$"),
     ):
-        with pytest.raises(ValueError, match=message):
-            as_cell(bad)
+        for build in builds:
+            with pytest.raises(ValueError, match=message):
+                build(bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SimplicialComplex([]), "a complex needs at least one cell"),
+    (lambda: SimplicialComplex.from_facets([]), "at least one facet is required"),
+    (lambda: ChainComplex({}, {}), "a chain complex needs at least degree 0"),
+    (lambda: corpus.simplex(-1), "dimension must be non-negative"),
+    (lambda: corpus.sphere(-1), "dimension must be non-negative"),
+    (lambda: corpus.data_text("moebius"), "unknown corpus complex 'moebius'"),
+], ids=["complex", "from_facets", "chain_complex", "simplex", "sphere", "data_text"])
+def test_empty_or_unknown_inputs_are_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 class Vertex(int):

@@ -11,7 +11,7 @@ from discmorse.chains import ChainComplex, chain_complex
 from discmorse.complexes import SimplicialComplex, barycentric_subdivision, product_triangulation
 from discmorse.elimination import (
     EliminationStep,
-    _iter_orders,
+    _sampled_orders,
     all_orders_agree,
     eliminate_sequence,
     gaussian_eliminate,
@@ -122,9 +122,7 @@ def test_all_orders_agree_samples_large_matchings():
 def test_a_larger_budget_extends_the_sampled_orders():
     M = random_morse_matching(corpus.torus(), random.Random(0))
     assert len(M) == 19
-    sampled = [_iter_orders(M.pairs(), m) for m in (1, 7, 30)]
-    assert [exhaustive for exhaustive, _ in sampled] == [False] * 3
-    one, seven, thirty = (list(orders) for _, orders in sampled)
+    one, seven, thirty = (list(_sampled_orders(M.pairs(), m)) for m in (1, 7, 30))
     assert one == [M.pairs()] and seven[:1] == one and thirty[:7] == seven
     assert len(set(thirty)) == 30
 
@@ -186,7 +184,9 @@ def outcome(run):
 
 def copying_all_orders(C: ChainComplex, M: Matching, max_orders: int):
     """all_orders_agree's outcome with every order run by copying_sequence."""
-    exhaustive, orders = _iter_orders(M.pairs(), max_orders)
+    pairs = M.pairs()
+    exhaustive = len(pairs) <= 8
+    orders = itertools.permutations(pairs) if exhaustive else _sampled_orders(pairs, max_orders)
     reference, tested = None, 0
     for order in orders:
         tested += 1

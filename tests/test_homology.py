@@ -65,6 +65,10 @@ def test_snf_shapes_and_empty_matrices():
     assert s.shape == (2, 0) and s.diagonal == ()
     with pytest.raises(ValueError):
         smith_normal_form([[1, 2], [3]])
+    # exact integer arithmetic: floats and bools are refused, not computed with
+    for A, bad in (([[2.5, 1], [1, 0]], "2.5"), ([[True, 0], [0, 2]], "True")):
+        with pytest.raises(ValueError, match=f"matrix entry {bad} is not an int"):
+            smith_normal_form(A)
 
 
 def _assert_snf_contract(A, n):
@@ -86,17 +90,27 @@ def test_snf_full_contract_on_drawn_matrices(case):
     _assert_snf_contract(*case)
 
 
-def test_snf_diagonal_matches_sympy():
+def _assert_snf_matches_sympy(A, n):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
+    m = len(A)
+    sym = sym_snf(sympy.Matrix(m, n, [v for row in A for v in row]))
+    s = smith_normal_form(A, n_cols=n)
+    assert list(s.diagonal) == [abs(sym[i, i]) for i in range(min(m, n))], A
+
+
+def test_snf_diagonal_matches_sympy():
     rng = random.Random(31)
     for _ in range(40):
         m, n = rng.randrange(1, 6), rng.randrange(1, 6)
-        A = [[rng.randrange(-7, 8) for _ in range(n)] for _ in range(m)]
-        s = smith_normal_form(A, n_cols=n)
-        sym = sym_snf(sympy.Matrix(A))
-        assert list(s.diagonal) == [abs(sym[i, i]) for i in range(min(m, n))]
+        _assert_snf_matches_sympy([[rng.randrange(-7, 8) for _ in range(n)] for _ in range(m)], n)
+
+
+@settings(max_examples=100)
+@given(small_matrices())
+def test_snf_diagonal_matches_sympy_on_drawn_matrices(case):
+    _assert_snf_matches_sympy(*case)
 
 
 def test_snf_without_transforms_has_no_matrices():
