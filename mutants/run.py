@@ -1,6 +1,6 @@
 """Plant each mutant of ``mutants/table.py`` and require a named test to fail.
 
-Usage: python3 mutants/run.py [NAME ...]    (default: every row)
+Usage: python3 mutants/run.py
 
 For each row the tree is copied to a temporary directory (without .git
 and caches), the row's snippet is replaced in the copy, and the row's
@@ -74,24 +74,19 @@ def run(mutant) -> tuple[str, str]:
     return "error", f"pytest exit status {done.returncode}: {tail}"
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     mutants = runpy.run_path(str(ROOT / "mutants" / "table.py"))["MUTANTS"]
-    unknown = set(argv) - {m.name for m in mutants}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in mutants if not argv or m.name in argv]
     start, bad = time.perf_counter(), 0
-    for mutant in chosen:
+    for mutant in mutants:
         t = time.perf_counter()
         verdict, why = run(mutant)
         bad += verdict != "killed"
         print(f"{verdict:8} {time.perf_counter() - t:5.1f} s  {mutant.name}", flush=True)
         if why:
             print("    " + why.replace("\n", "\n    "), flush=True)
-    print(f"{len(chosen) - bad} of {len(chosen)} killed in {time.perf_counter() - start:.1f} s")
+    print(f"{len(mutants) - bad} of {len(mutants)} killed in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -84,8 +84,8 @@ MUTANTS = (
     Mutant(
         "sampled-failure-one-order-early",
         "src/discmorse/elimination.py",
-        "for t, shuffled in enumerate(orders, 2):",
-        "for t, shuffled in enumerate(orders, 1):",
+        "for t, shuffled in enumerate(_sampled_orders(pairs, max_orders), 2):",
+        "for t, shuffled in enumerate(_sampled_orders(pairs, max_orders), 1):",
         (FAILING_ORDERS,),
     ),
     # --- Thom-Smale from one V-path walk ---

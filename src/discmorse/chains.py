@@ -52,11 +52,13 @@ class ChainComplex:
                 raise ValueError(f"duplicate labels in degree {k}")
         self._columns: dict[int, dict[Label, Column]] = {k: {} for k in range(1, top + 1)}
         for k, columns in boundaries.items():
-            for tau, col in columns.items():
-                for v in col.values():
+            for tau, entries in columns.items():
+                col: Column = {}
+                for sigma, v in entries.items():
                     if type(v) is not int:
                         raise ValueError(f"boundary of {tau!r} has the non-int entry {v!r}")
-                col = {sigma: v for sigma, v in col.items() if v}
+                    if v:
+                        col[sigma] = v
                 if tau not in self._bases[k] or not col.keys() <= self._bases[k - 1].keys():
                     raise ValueError(f"boundary of {tau!r} leaves degrees {k} and {k - 1}")
                 if col:
