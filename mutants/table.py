@@ -56,15 +56,15 @@ MUTANTS = (
     Mutant(
         "failing-order-count-off-by-one",
         "src/discmorse/elimination.py",
-        "return tested + 1, done + (j,)",
-        "return tested, done + (j,)",
+        "enumerate(itertools.permutations(range(len(pairs))), 1)",
+        "enumerate(itertools.permutations(range(len(pairs))), 0)",
         (FAILING_ORDERS,),
     ),
     Mutant(
-        "failing-order-tail-reversed",
+        "failing-order-reversed",
         "src/discmorse/elimination.py",
-        "tuple(k for k in range(n) if not T >> k & 1)",
-        "tuple(k for k in reversed(range(n)) if not T >> k & 1)",
+        "return tested, tuple(pairs[k] for k in order)",
+        "return tested, tuple(pairs[k] for k in reversed(order))",
         (FAILING_ORDERS,),
     ),
     Mutant(
@@ -75,10 +75,10 @@ MUTANTS = (
         (FAILING_ORDERS,),
     ),
     Mutant(
-        "empty-set-marked-clean",
+        "failed-set-kept-as-reached",
         "src/discmorse/elimination.py",
-        "clean = {(1 << n) - 1}",
-        "clean = {(1 << n) - 1, 0}",
+        "[1] is None else None",
+        "[1] is None else R",
         (FAILING_ORDERS,),
     ),
     Mutant(
@@ -210,6 +210,34 @@ MUTANTS = (
         "critical = [c for c, t in enumerate(v) if t == -1]",
         "critical = [c for c, t in enumerate(v) if t < 0]",
         ("tests/test_morse.py::test_homology_is_orientation_independent",),
+    ),
+    Mutant(
+        "thom-smale-drops-the-critical-flip/twin",
+        "src/discmorse/morse.py",
+        "sign = o.get(tau, 1)",
+        "sign = 1",
+        ("tests/test_chains.py::test_sparse_storage_agrees_with_the_incidence_oracle",),
+    ),
+    Mutant(
+        "thom-smale-drops-the-critical-flip/seeded",
+        "src/discmorse/morse.py",
+        "sign = o.get(tau, 1)",
+        "sign = 1",
+        ("tests/test_morse.py::test_homology_is_orientation_independent",),
+    ),
+    Mutant(
+        "morse-check-sees-no-cycle/twin",
+        "src/discmorse/matchings.py",
+        "    return removed == len(nodes)\n",
+        "    return True\n",
+        ("tests/test_elimination.py::test_morse_iff_all_orders_on_drawn_matchings",),
+    ),
+    Mutant(
+        "morse-check-sees-no-cycle/seeded",
+        "src/discmorse/matchings.py",
+        "    return removed == len(nodes)\n",
+        "    return True\n",
+        ("tests/test_elimination.py::test_morse_iff_all_orders_on_random_matchings",),
     ),
     Mutant(
         "smith-diagonal-left-negative/twin",

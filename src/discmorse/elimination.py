@@ -23,15 +23,15 @@ reduction, at the end, so a sequence of pairs costs about the entries it
 rewrites rather than the size of the complex at every step.
 ``all_orders_agree`` reduces the complex once; its other orders run on
 the pairs' own submatrix, 2|M| generators read from the |M| matched
-columns, and up to 8 pairs take one reduction of it per set of pairs
-reached, at most 2**|M|, rather than one of the complex per order. Past 8
-pairs the orders are sampled from one fixed sequence of shuffles, which a
-larger budget only extends.
+columns; up to 8 pairs every permutation steps through a dict of the
+sets of pairs done, each set reached (at most 2**|M|) reduced once. Past
+8 pairs the orders are sampled from one fixed sequence of shuffles,
+which a larger budget only extends.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import random
 from collections import defaultdict
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -208,46 +208,30 @@ def _pair_submatrix(C: ChainComplex, pairs: Sequence[Pair]) -> ChainComplex:
 def _first_failing_order(
     sub: ChainComplex, pairs: tuple[Pair, ...]
 ) -> tuple[int, tuple[Pair, ...] | None]:
-    """Walk the orders of pairs in lexicographic order of positions, one
-    reduction of sub per set of pairs done: the orders tested up to and
-    including the first that fails, and that order; or |pairs|! and None.
+    """Step the orders of pairs, in lexicographic order of positions,
+    through the sets of pairs done: the orders tested up to and including
+    the first that fails, and that order; or |pairs|! and None.
 
     After a set S, the Schur complement on S is the same whatever order S
-    went in, so a set that some order reaches has one state, and the pivot
-    it offers pair j is a unit exactly when S + j is reached too (their
-    determinants differ by that pivot). A set after which no order fails
-    is walked once; its later visits add (|pairs| - |S|)! unwalked.
+    went in, and the pivot it offers pair j is a unit exactly when S + j
+    is reached too (their determinants differ by that pivot). So each set
+    is reduced once, from the first set before it, and kept: its
+    reduction of sub, or None when that pivot failed.
     """
-    n = len(pairs)
-    states: dict[int, _Reduction | None] = {0: _Reduction(sub)}  # None: unreachable
-    clean = {(1 << n) - 1}  # sets after which every order succeeds
-
-    def walk(S: int, done: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
-        if S in clean:
-            return math.factorial(n - len(done)), None
-        tested = 0
-        for j in range(n):
-            if S >> j & 1:
-                continue
+    states: dict[int, _Reduction | None] = {0: _Reduction(sub)}
+    # permutations yields at least the empty order, so tested is bound
+    for tested, order in enumerate(itertools.permutations(range(len(pairs))), 1):
+        S = 0
+        for j in order:
             T = S | 1 << j
             if T not in states:
-                parent = states[S]
-                R = states[T] = _Reduction(ChainComplex._trusted(parent.bases, parent.columns))
-                try:
-                    R.eliminate(*pairs[j])
-                except EliminationError:
-                    states[T] = None
-            if states[T] is None:  # every order from done + (j,) fails at j
-                return tested + 1, done + (j,) + tuple(k for k in range(n) if not T >> k & 1)
-            more, failing = walk(T, done + (j,))
-            tested += more
-            if failing is not None:
-                return tested, failing
-        clean.add(S)
-        return tested, None
-
-    tested, failing = walk(0, ())
-    return tested, failing and tuple(pairs[j] for j in failing)
+                P = states[S]
+                R = _Reduction(ChainComplex._trusted(P.bases, P.columns))
+                states[T] = R if R.run([pairs[j]])[1] is None else None
+            if states[T] is None:
+                return tested, tuple(pairs[k] for k in order)
+            S = T
+    return tested, None
 
 
 def all_orders_agree(C: ChainComplex, M: Matching, max_orders: int = 100) -> OrdersResult:
@@ -256,9 +240,9 @@ def all_orders_agree(C: ChainComplex, M: Matching, max_orders: int = 100) -> Ord
     The sorted order runs on C and gives the reduced complex, or a
     ValueError for a pair that is not one. Every other order runs on the
     pairs' own submatrix, whose Schur complements hold every pivot an
-    order meets: exhaustively over all |M|! permutations for |M| <= 8, as
-    a walk over the sets of pairs done that stops at the first failing
-    order in permutation order; otherwise over the sorted order and then
+    order meets: exhaustively over all |M|! permutations for |M| <= 8, in
+    lexicographic order up to the first that fails, with one reduction
+    per set of pairs done; otherwise over the sorted order and then
     the shuffles of ``random.Random(0)``, max_orders orders in all, so a
     larger max_orders tests every order a smaller one does. Orders that
     succeed give the same complex (the quotient property of Schur

@@ -222,6 +222,12 @@ seeded_matchings = st.builds(
 )
 
 
+@given(st.one_of(seeded_matchings, tetrahedra_rings()))
+def test_morse_iff_all_orders_on_drawn_matchings(X_and_M):
+    X, M = X_and_M
+    assert morse_iff_all_orders(X, M).consistent
+
+
 @settings(max_examples=150)
 @given(st.one_of(seeded_matchings, tetrahedra_rings()), st.integers(0, 2**32 - 1))
 def test_elimination_equals_the_copying_reference(X_and_M, seed):
@@ -294,7 +300,8 @@ def unit_lu_matchings(draw):
     order succeeds, while other orders often meet a pivot 0 or +-2: this
     is where a failure comes after orders that succeed. Past 8 pairs the
     orders are sampled, so 7 and 8 pairs are left out: the reference would
-    copy the complex for each of 40,320 orders."""
+    copy the complex for each of 40,320 orders. Fixed cases of 7 and 8
+    pairs are pinned below instead."""
     k = draw(st.one_of(st.integers(1, 6), st.integers(9, 11)))
     unit, entry = st.sampled_from((-1, 1)), st.sampled_from((-1, 0, 1))
     L = [[draw(unit) if i == j else draw(entry) if i > j else 0 for j in range(k)] for i in range(k)]
@@ -328,6 +335,46 @@ def test_failing_orders_equal_the_copying_reference(C_and_M, max_orders):
     C, M = C_and_M
     res = all_orders_agree(C, M, max_orders=max_orders)
     assert orders_fields(res) == copying_all_orders(C, M, max_orders)
+
+
+# unit-LU matrices of 7 and 8 pairs, which unit_lu_matchings leaves out:
+# the sorted order succeeds, and so do 880 to 11,808 orders before the
+# first that fails, with pairs left after the failure; orders tested, the
+# failing order's positions, and the failure's step and pivot are pinned
+@pytest.mark.parametrize("A, tested, failing, step, pivot", [
+    ([[-1, 0, 0, 0, 0, 1, 0],
+      [0, -1, 0, 0, 0, 0, 0],
+      [0, 0, 1, 0, -1, 0, 0],
+      [0, 0, 0, 1, 0, -1, 0],
+      [-1, 0, 0, 0, -1, 1, 0],
+      [0, 0, 0, 0, 0, -1, 1],
+      [1, 0, 0, 0, 1, -1, -1]], 881, (1, 2, 3, 5, 6, 0, 4), 4, -2),
+    ([[-1, 0, -1, 0, 1, 0, 0, 0],
+      [0, -1, 0, -1, 0, 0, 0, 0],
+      [0, 0, -1, 0, 1, 0, 0, 0],
+      [1, 0, 1, 1, -2, -1, 0, 1],
+      [1, 0, 1, 0, 0, -1, 0, -1],
+      [0, 0, 0, 0, 0, -1, 0, 0],
+      [0, 0, 0, -1, 0, 2, -1, 0],
+      [1, 0, 1, 0, -1, 0, 0, 1]], 6721, (1, 3, 4, 0, 2, 5, 6, 7), 2, 0),
+    ([[-1, 0, 0, 0, 0, -1, 0, 0],
+      [0, -1, -1, 0, 0, 0, 1, 0],
+      [1, 0, -1, 1, 0, 1, 0, 1],
+      [0, 0, 0, 1, 0, 0, 0, 0],
+      [0, 0, 0, 0, 1, 0, 0, 0],
+      [0, 1, 1, 0, 0, 1, -1, 0],
+      [0, 0, 0, 0, 0, 0, 1, 0],
+      [0, 0, 0, 0, -1, 0, -1, -1]], 11809, (2, 3, 4, 5, 0, 1, 6, 7), 3, 2),
+])
+def test_failing_orders_of_seven_and_eight_unit_lu_pairs(A, tested, failing, step, pivot):
+    C, M = matched_matrix(A)
+    pairs = M.pairs()
+    res = all_orders_agree(C, M)
+    assert res.exhaustive and not res.agree and res.reduced is None
+    assert res.orders_tested == tested
+    assert res.failing_order == tuple(pairs[j] for j in failing)
+    assert (res.failure.step, res.failure.pivot) == (step, pivot)
+    assert res.failure.pair == pairs[failing[step]]
 
 
 def test_all_orders_agree_reduces_the_complex_once(monkeypatch):
