@@ -166,6 +166,28 @@ MUTANTS = (
             "tests/test_homology.py::test_in_column_span_agrees_with_the_row_transform_on_drawn_matrices",
         ),
     ),
+    # --- one seeded reduction per complex, kept with it ---
+    Mutant(
+        "homologous-consumes-cached-rows",
+        "src/discmorse/euler.py",
+        "in_column_span([row.copy() for row in rows], n_triangles, psi)",
+        "in_column_span(rows, n_triangles, psi)",
+        ("tests/test_euler.py::test_repeated_comparisons_on_one_complex_match_the_oracle",),
+    ),
+    Mutant(
+        "seeded-field-shared-across-complexes",
+        "src/discmorse/morse.py",
+        "    seeded = X._seeded\n    if seeded is None:\n        seeded = X._seeded = ",
+        '    seeded = globals().get("_SHARED")\n    if seeded is None:\n        seeded = globals()["_SHARED"] = ',
+        ("tests/test_euler.py::test_each_complex_makes_its_own_seeded_reduction",),
+    ),
+    Mutant(
+        "seeded-field-shared-by-equal-complexes",
+        "src/discmorse/morse.py",
+        "def _seeded(X: SimplicialComplex) -> _Seeded:\n",
+        '@__import__("functools").lru_cache(maxsize=None)\ndef _seeded(X: SimplicialComplex) -> _Seeded:\n',
+        ("tests/test_euler.py::test_each_complex_makes_its_own_seeded_reduction",),
+    ),
     # --- integers only at the numeric entry points ---
     Mutant(
         "orientation-takes-floats-and-bools",

@@ -12,6 +12,9 @@ rank. Every constructor hands its cells over one dimension at a time and
 each dimension is sorted once. Its cell index and barycentric subdivision
 use those ids; the index builds faces and cofaces on first use, an edge's
 faces from its vertex labels and the cofaces one dimension at a time.
+Beside the index a complex keeps one more thing made on first use: its
+seeded reduction, the seed-0 collapse that ``simplicial_homology`` and
+``homologous`` read (see :func:`discmorse.morse._seeded`).
 """
 
 from __future__ import annotations
@@ -95,9 +98,12 @@ class SimplicialComplex:
 
     Its one store: the cells in (dimension, lexicographic) order, their ids
     and the id where each dimension starts. ``index()`` shares the first two
-    and builds faces and cofaces on first use."""
+    and builds faces and cofaces on first use. The seeded reduction, made on
+    first use by ``discmorse.morse._seeded``, holds the seed-0 collapse's
+    field and Morse verdict on that index and, once an Euler comparison has
+    run, the Morse d_2. Equality and hashing see the cells only."""
 
-    __slots__ = ("_cells", "_id_of", "_starts", "_index")
+    __slots__ = ("_cells", "_id_of", "_starts", "_index", "_seeded")
 
     def __init__(self, cells: Iterable[Iterable[int]]):
         canon = {as_cell(c) for c in cells}
@@ -124,6 +130,7 @@ class SimplicialComplex:
         # _starts[k] is the id of the first k-cell, _starts[dim + 1] the count
         self._starts = tuple(starts)
         self._index: CellIndex | None = None
+        self._seeded = None  # a morse._Seeded once made
 
     @classmethod
     def _closure(cls, facets: list[Cell]) -> "SimplicialComplex":

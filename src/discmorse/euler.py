@@ -6,20 +6,20 @@ gives a 1-chain on the barycentric subdivision whose boundary is the
 alternating vertex chain sum((-1)^dim(sigma) * b_sigma). Such a chain
 exists only when the Euler characteristic is zero, since a complete
 matching forces equally many even and odd cells. Whether two such chains
-are homologous is decided on the Thom-Smale complex of a seeded collapse.
+are homologous is decided on the Thom-Smale complex of the seeded collapse
+kept with the complex, one per complex whatever the number of comparisons.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import Cell, CellIndex, SimplicialComplex
 from .errors import MatchingError, NotMorseError
 from .homology import in_column_span
-from .matchings import Matching, Pair, _field, _verdict, random_morse_matching
-from .morse import _morse_column, _signed_counts
+from .matchings import Matching, Pair, _field, _verdict
+from .morse import _morse_column, _seeded, _signed_counts
 
 
 def complete_matching(H: CellIndex) -> Matching | None:
@@ -176,12 +176,15 @@ def homologous(X: SimplicialComplex, xi: EulerChain, eta: EulerChain) -> bool:
     vanishes when the two maxima agree.
 
     The image z is then decided on the Thom-Smale complex of the seeded
-    collapse that ``simplicial_homology`` uses. Forman's chain map psi
-    sends an edge to its signed V-path counts on the critical edges, and
-    is a chain equivalence (Forman, *Morse theory for cell complexes*,
-    1998), so z is a boundary in X exactly when psi(z) is an integer
-    combination of the Morse boundaries of the critical triangles. One
-    walk from the edges of z and the faces of those triangles gives both.
+    collapse that ``simplicial_homology`` uses, kept with X. Forman's chain
+    map psi sends an edge to its signed V-path counts on the critical
+    edges, and is a chain equivalence (Forman, *Morse theory for cell
+    complexes*, 1998), so z is a boundary in X exactly when psi(z) is an
+    integer combination of the Morse boundaries of the critical triangles.
+    Both depend on the matching only, so one seeded reduction serves every
+    comparison on X: the first builds the Morse d_2 from the faces of the
+    critical triangles and keeps it with the collapse, and each comparison
+    walks from the edges of z and decides the span on a copy of its rows.
     Raises ValueError when a segment's cell is not in X or xi - eta is
     not a cycle.
     """
@@ -200,27 +203,31 @@ def homologous(X: SimplicialComplex, xi: EulerChain, eta: EulerChain) -> bool:
         return True
     H = X.index()
     cells, id_of, faces, _ = H
-    v, morse = _verdict(H, random_morse_matching(X, random.Random(0)))
+    seeded = _seeded(X)
+    v, morse = _verdict(H, seeded.matching)
     if not morse:
         raise NotMorseError("matching has a closed V-path")
-    critical = [c for c, t in enumerate(v) if t == -1]
-    row_of = {c: i for i, c in enumerate(c for c in critical if len(cells[c]) == 2)}
+    if seeded.d2 is None:
+        critical = [c for c, t in enumerate(v) if t == -1]
+        row_of = {c: i for i, c in enumerate(c for c in critical if len(cells[c]) == 2)}
+        triangles = [t for t in critical if len(cells[t]) == 3]
+        counts = _signed_counts(faces, v, [s for t in triangles for s in faces[t]])
+        rows: list[dict[int, int]] = [{} for _ in row_of]
+        for j, t in enumerate(triangles):
+            for c, n in _morse_column(faces, counts, t).items():
+                rows[row_of[c]][j] = n
+        seeded.d2 = (row_of, len(triangles), rows)
+    row_of, n_triangles, rows = seeded.d2
     if not row_of:  # no critical edge: psi(z) = 0
         return True
-    triangles = [t for t in critical if len(cells[t]) == 3]
-    counts = _signed_counts(
-        faces, v, [id_of[e] for e in image] + [s for t in triangles for s in faces[t]]
-    )
-    rows: list[dict[int, int]] = [{} for _ in row_of]
-    for j, t in enumerate(triangles):
-        for c, n in _morse_column(faces, counts, t).items():
-            rows[row_of[c]][j] = n
+    counts = _signed_counts(faces, v, [id_of[e] for e in image])
     psi: dict[int, int] = {}
     for e, m in image.items():
         for c, n in counts[id_of[e]].items():
             i = row_of[c]
             psi[i] = psi.get(i, 0) + m * n
-    return in_column_span(rows, len(triangles), psi)
+    # in_column_span consumes its rows, and the kept ones serve every call
+    return in_column_span([row.copy() for row in rows], n_triangles, psi)
 
 
 def reroute_along_vpath(

@@ -112,15 +112,39 @@ def thom_smale_complex(
     return ChainComplex(bases, boundaries)
 
 
+class _Seeded:
+    """The seeded reduction of one complex: its seed-0 collapse, whose
+    field and Morse verdict on the complex's index ride on the matching,
+    and, once ``homologous`` has built it, the Morse d_2 as (critical edge
+    id -> row, number of critical triangles, sparse rows)."""
+
+    __slots__ = ("matching", "d2")
+
+    def __init__(self, matching: Matching):
+        self.matching = matching
+        self.d2: tuple[dict[int, int], int, list[dict[int, int]]] | None = None
+
+
+def _seeded(X: SimplicialComplex) -> _Seeded:
+    """The seeded reduction of X, made on first use and kept on X, which is
+    immutable: ``random_morse_matching(X, random.Random(0))`` runs once per
+    complex, and equal complexes built apart each make their own."""
+    seeded = X._seeded
+    if seeded is None:
+        seeded = X._seeded = _Seeded(random_morse_matching(X, random.Random(0)))
+    return seeded
+
+
 def simplicial_homology(X: SimplicialComplex) -> HomologySummary:
     """Integral homology of X through its Thom-Smale complex.
 
-    A seeded random collapse leaves few critical cells, and the Smith form
-    runs on those only. Morse homology equals simplicial homology for every
-    Morse matching, so the answer is ``homology(chain_complex(X))`` and the
-    fixed seed affects only the speed.
+    The seed-0 collapse kept with X (the one ``homologous`` reads; it runs
+    once per complex) leaves few critical cells, and the Smith form runs on
+    those only. Morse homology equals simplicial homology for every Morse
+    matching, so the answer is ``homology(chain_complex(X))`` and the fixed
+    seed affects only the speed.
     """
-    return homology(thom_smale_complex(X, random_morse_matching(X, random.Random(0))))
+    return homology(thom_smale_complex(X, _seeded(X).matching))
 
 
 def reorient(X: SimplicialComplex, flips: Iterable[Cell]) -> dict[Cell, int]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from discmorse import corpus, euler
+from discmorse import corpus, euler, morse
 from discmorse.chains import chain_complex
 from discmorse.complexes import Cell, SimplicialComplex, Subdivision, barycentric_subdivision
 from discmorse.errors import MatchingError
@@ -21,6 +21,7 @@ from discmorse.euler import (
     reroute_along_vpath,
 )
 from discmorse.matchings import Matching, _field, hasse, random_morse_matching
+from discmorse.morse import simplicial_homology
 from oracles import boundary_zero_chain, covers, homologous_on_complex
 from strategies import euler_zero_complexes
 
@@ -467,6 +468,82 @@ def test_homologous_hands_one_column_per_critical_triangle(monkeypatch):
     eta = EulerChain.from_segments(list(xi.segments) + loop_segments(walk))
     assert not homologous(X, xi, eta)
     assert columns == [1]
+
+
+# --- one seeded reduction per complex ---
+
+
+def triangle_loop_chains(name: str, subdivided: bool):
+    """A fresh complex and chains on it: every 3-cycle of the named
+    surface's 1-skeleton, once and twice, run through sd when subdivided,
+    so some bound, some do not, and on the Klein bottle some only twice."""
+    X = getattr(corpus, name)()
+    edges = set(X.cells(1))
+    walks = [
+        (a, b, c, a)
+        for a, b, c in itertools.combinations(X.vertices(), 3)
+        if {(a, b), (a, c), (b, c)} <= edges
+    ]
+    if subdivided:
+        sub = barycentric_subdivision(X)
+        X, walks = sub.complex, [subdivided_walk(sub, w) for w in walks]
+    chains = [EulerChain.from_segments(k * loop_segments(w)) for w in walks for k in (1, 2)]
+    return X, chains
+
+
+def alternating_cases(X, chains):
+    """(xi, eta, verdict) against the whole-complex oracle, True and False
+    verdicts taken in turn, with at least three of each."""
+    nothing = EulerChain.from_segments([])
+    cases = [(xi, nothing) for xi in chains] + list(zip(chains, chains[3:]))
+    verdicts = [homologous_on_complex(X, xi, eta) for xi, eta in cases]
+    trues = [(*c, True) for c, v in zip(cases, verdicts) if v]
+    falses = [(*c, False) for c, v in zip(cases, verdicts) if not v]
+    assert len(trues) >= 3 and len(falses) >= 3
+    return [case for pair in zip(falses, trues) for case in pair]
+
+
+@pytest.mark.parametrize(
+    "name, subdivided", [("torus", False), ("klein_bottle", False), ("torus", True)],
+    ids=["torus", "klein_bottle", "sd_torus"],
+)
+def test_repeated_comparisons_on_one_complex_match_the_oracle(name, subdivided):
+    # the Morse d_2 kept after the first call must serve every later one
+    X, chains = triangle_loop_chains(name, subdivided)
+    cases = alternating_cases(X, chains)
+    for _ in range(2):
+        for xi, eta, want in cases:
+            assert homologous(X, xi, eta) == want
+
+
+def test_each_complex_makes_its_own_seeded_reduction(monkeypatch):
+    made = []
+    real = morse.random_morse_matching
+
+    def spy(X, rng):
+        made.append(X)
+        return real(X, rng)
+
+    monkeypatch.setattr(morse, "random_morse_matching", spy)
+    (torus, torus_chains), (again, again_chains), (klein, klein_chains) = (
+        triangle_loop_chains("torus", False),
+        triangle_loop_chains("torus", False),
+        triangle_loop_chains("klein_bottle", False),
+    )
+    assert torus == again and torus is not again
+    runs = [
+        (X, alternating_cases(X, chains))
+        for X, chains in [(torus, torus_chains), (klein, klein_chains), (again, again_chains)]
+    ]
+    # one case of each complex in turn, so the comparisons interleave
+    for cases in itertools.zip_longest(*(cases for _, cases in runs)):
+        for (X, _), case in zip(runs, cases):
+            if case is not None:
+                xi, eta, want = case
+                assert homologous(X, xi, eta) == want
+    assert str(simplicial_homology(torus)) == "H_0 = Z, H_1 = Z^2, H_2 = Z"
+    assert str(simplicial_homology(klein)) == "H_0 = Z, H_1 = Z + Z/2, H_2 = 0"
+    assert [id(X) for X in made] == [id(torus), id(klein), id(again)]
 
 
 # --- the boundary identity on random complete matchings ---

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from discmorse import corpus
 from discmorse.complexes import SimplicialComplex, barycentric_subdivision, hyperfaces
 from discmorse.matchings import hasse, validate_matching
+from discmorse.morse import simplicial_homology
 from oracles import facets_by_slices, hasse_edges, hyperfaces_by_slices, index_by_slices
 from strategies import small_complexes
 
@@ -50,6 +51,8 @@ def test_hasse_is_the_index_and_its_edges_are_the_cover_pairs(X):
 def test_equality_and_hash_do_not_see_the_index(X, Y):
     same = SimplicialComplex(list(X.all_cells()))
     X.index()
+    simplicial_homology(X)  # builds and keeps X's seeded reduction
+    assert X._seeded is not None and same._seeded is None
     assert X == same and hash(X) == hash(same) == hash(frozenset(X.all_cells()))
     assert (X == Y) == (set(X.all_cells()) == set(Y.all_cells()))
     assert X.contains_complex(Y) == (set(Y.all_cells()) <= set(X.all_cells()))
